@@ -9,9 +9,9 @@
 //     shape as tests/sim_paper_scale_test.cc; the recorded baseline. Runs
 //     by default — this binary exists to produce that record — but takes
 //     minutes on one core; `--quick` skips it.
-//   125k-6k — the paper's headline NYC setting on the CH-backed oracle
-//     (bucket batches); self-skips unless WATTER_RUN_LARGE is set, like
-//     every other paper-scale target.
+//   125k-6k — the paper's headline NYC setting (96x96 city, matrix oracle
+//     like every other scale); self-skips unless WATTER_RUN_LARGE is set,
+//     like every other paper-scale target.
 //
 // Each scale's record carries the four paper metrics plus the per-phase
 // wall-time breakdown (maintenance/refresh/propose/resolve/commit/sweep)
@@ -78,8 +78,6 @@ bool RunScale(const E2eScale& scale, int threads, const SimOptions& sim_base,
   workload.duration = scale.hours * 3600.0;
   workload.num_threads = threads;
   workload.seed = 20240301;  // Matches tests/sim_paper_scale_test.cc.
-  // CH-backed datasets exercise the bucket oracle; cdc stays matrix.
-  if (scale.dataset != DatasetKind::kCdc) workload.geo = GeoBackend::kBucket;
 
   auto scenario = GenerateScenario(workload);
   if (!scenario.ok()) {
@@ -197,10 +195,10 @@ int main(int argc, char** argv) {
     scales.push_back({"30k-3k", DatasetKind::kCdc, 30000, 3000, 32, 4.0});
   }
   if (std::getenv("WATTER_RUN_LARGE") != nullptr) {
-    // The paper's headline NYC setting over the CH-backed bucket oracle.
+    // The paper's headline NYC setting.
     scales.push_back({"125k-6k", DatasetKind::kNyc, 125000, 6000, 96, 4.0});
   } else if (!quick) {
-    std::printf("paper-scale shape (125k orders / 6k workers, CH-backed) "
+    std::printf("paper-scale shape (125k orders / 6k workers) "
                 "skipped; set WATTER_RUN_LARGE=1.\n");
   }
 

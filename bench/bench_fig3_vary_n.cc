@@ -16,17 +16,14 @@ int main(int argc, char** argv) {
   int threads = BenchThreads(argc, argv);
   std::vector<DispatchMode> modes = BenchDispatchModes(argc, argv);
   std::vector<int> shard_sweep = BenchShardsSweep(argc, argv);
-  GeoBackend geo = BenchGeoBackend(argc, argv);
   std::string faults = BenchFaultSpec(argc, argv);
   BenchJson().path = BenchJsonPath(argc, argv);
   BenchJson().threads = threads;
-  BenchJson().geo = GeoName(geo);
   BenchJson().faults = faults;
 
   for (DatasetKind dataset : BenchDatasets(argc, argv, quick)) {
     WorkloadOptions base = BaseWorkload(dataset);
     base.num_threads = threads;
-    base.geo = geo;
     base.faults = faults;
     std::unique_ptr<ExpectModel> model;
     if (!quick) {

@@ -20,13 +20,10 @@ int main(int argc, char** argv) {
   BenchJson().threads = threads;
   BenchJson().dispatch = DispatchName(sim.dispatch);
   BenchJson().shards = sim.num_shards;
-  GeoBackend geo = BenchGeoBackend(argc, argv);
-  BenchJson().geo = GeoName(geo);
 
   for (DatasetKind dataset : BenchDatasets(quick)) {
     WorkloadOptions base = BaseWorkload(dataset);
     base.num_threads = threads;
-    base.geo = geo;
     std::unique_ptr<ExpectModel> model;
     if (!quick) {
       auto trained = TrainExpect(base);

@@ -78,33 +78,9 @@ inline std::vector<DispatchMode> BenchDispatchModes(int argc, char** argv) {
   std::exit(2);
 }
 
-inline const char* GeoName(GeoBackend geo) {
-  return geo == GeoBackend::kBucket ? "bucket" : "per-query";
-}
-
-/// Travel-time-oracle backend for the CH-backed datasets (nyc/xia):
-/// `--geo per-query|bucket` or WATTER_BENCH_GEO, default bucket (the
-/// batched bucket-CH oracle, src/geo/bucket_ch.h). The backends are
-/// bitwise-equivalent (tests/geo_oracle_equivalence_test.cc), so the flag
-/// can only move running time — every other column stays identical, which
-/// is exactly what BENCH_geo.json records. The matrix-oracle cdc dataset
-/// ignores it.
-inline GeoBackend BenchGeoBackend(int argc, char** argv) {
-  const char* value = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--geo") == 0) value = argv[i + 1];
-  }
-  if (value == nullptr) value = std::getenv("WATTER_BENCH_GEO");
-  if (value == nullptr || std::strcmp(value, "bucket") == 0) {
-    return GeoBackend::kBucket;
-  }
-  if (std::strcmp(value, "per-query") == 0) return GeoBackend::kPerQuery;
-  std::fprintf(stderr, "unknown --geo value: %s\n", value);
-  std::exit(2);
-}
-
-/// Shard counts for the batched engine's region-sharded commit pass:
-/// `--shards N[,N...]` or WATTER_BENCH_SHARDS, default {1} (unsharded).
+/// Shard counts for the batched engine's region-sharded conflict
+/// resolution: `--shards N[,N...]` or WATTER_BENCH_SHARDS, default {1} (one
+/// global scan).
 /// Metrics are shard-count-independent (sim_parallel_determinism_test), so
 /// extra shard values add rows that differ only in running time and the
 /// border-work counters; the serial engine ignores the knob.
@@ -190,7 +166,6 @@ struct JsonSink {
   std::string path;
   int threads = 1;
   const char* dispatch = "batched";
-  const char* geo = "bucket";
   int shards = 1;
   std::string faults;  ///< Fault spec of the sweep ("" = faults off).
   std::vector<std::string> records;
@@ -386,7 +361,7 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
             record, sizeof(record),
             "{\"figure\": \"%s\", \"dataset\": \"%s\", \"sweep\": \"%s\", "
             "\"value\": %s, \"algorithm\": \"%s\", \"threads\": %d, "
-            "\"dispatch\": \"%s\", \"geo\": \"%s\", \"shards\": %d, "
+            "\"dispatch\": \"%s\", \"shards\": %d, "
             "\"faults\": \"%s\", "
             "\"served\": %lld, \"rejected\": %lld, "
             "\"metrs_objective\": %.6g, \"unified_cost\": %.6g, "
@@ -400,14 +375,14 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
             "\"cancelled\": %lld, \"failed_services\": %lld, "
             "\"fault_dropouts\": %lld, \"fault_midroute_dropouts\": %lld, "
             "\"fault_late_dropouts\": %lld, \"fault_returns\": %lld, "
-            "\"fault_brownout_rounds\": %lld, \"fault_stalls\": %lld, "
+            "\"fault_brownout_rounds\": %lld, "
             "\"fault_recovered_orders\": %lld, "
             "\"fault_aborted_commits\": %lld, \"shed_orders\": %lld, "
             "\"degraded_rounds\": %lld, \"work_units\": %lld}",
             figure.c_str(), DatasetName(dataset), sweep_label.c_str(),
             std::to_string(value).c_str(), algorithm.name.c_str(),
-            BenchJson().threads, BenchJson().dispatch, BenchJson().geo,
-            BenchJson().shards, BenchJson().faults.c_str(),
+            BenchJson().threads, BenchJson().dispatch, BenchJson().shards,
+            BenchJson().faults.c_str(),
             static_cast<long long>(r.served),
             static_cast<long long>(r.rejected), r.metrs_objective,
             r.unified_cost, r.service_rate, r.running_time_per_order * 1e6,
@@ -429,7 +404,6 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
             static_cast<long long>(r.faults.late_dropouts),
             static_cast<long long>(r.faults.returns),
             static_cast<long long>(r.faults.brownout_rounds),
-            static_cast<long long>(r.faults.stalls),
             static_cast<long long>(r.faults.recovered_orders),
             static_cast<long long>(r.faults.aborted_commits),
             static_cast<long long>(r.faults.shed_orders),

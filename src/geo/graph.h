@@ -2,8 +2,8 @@
 //
 // The graph is built incrementally (AddNode/AddEdge) and then Finalize()d
 // into forward and reverse CSR adjacency for cache-friendly traversal. All
-// shortest-path code (Dijkstra, bidirectional search, contraction
-// hierarchies) operates on the finalized form.
+// shortest-path code (Dijkstra, contraction hierarchies) operates on the
+// finalized form.
 #ifndef WATTER_GEO_GRAPH_H_
 #define WATTER_GEO_GRAPH_H_
 

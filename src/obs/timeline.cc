@@ -30,7 +30,6 @@ const FieldDef kFields[] = {
     {"now", nullptr, &RoundSample::now, kLast},
     {"pool_size", &RoundSample::pool_size, nullptr, kMax},
     {"shareability_edges", &RoundSample::shareability_edges, nullptr, kMax},
-    {"pipeline_depth", &RoundSample::pipeline_depth, nullptr, kMax},
     {"offers", &RoundSample::offers, nullptr, kSum},
     {"committed", &RoundSample::committed, nullptr, kSum},
     {"worker_conflicts", &RoundSample::worker_conflicts, nullptr, kSum},

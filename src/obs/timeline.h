@@ -1,5 +1,5 @@
 // TimelineSampler: one RoundSample per platform check round, capturing what
-// the simulation looked like (pool size, shareability edges, queue depth),
+// the simulation looked like (pool size, shareability edges),
 // what the round did (offers, commits, conflicts, counter deltas), and where
 // its wall-clock went (per-phase durations). Exported as JSON or CSV via
 // `--timeline FILE`; schema documented in docs/OBSERVABILITY.md.
@@ -31,7 +31,6 @@ struct RoundSample {
   // State at the end of the round.
   int64_t pool_size = 0;
   int64_t shareability_edges = 0;
-  int64_t pipeline_depth = 0;  ///< Commit-pipeline backlog after the round.
 
   // What the round's decision loop did.
   int64_t offers = 0;
@@ -49,8 +48,8 @@ struct RoundSample {
   int64_t geo_batches = 0;
 
   // Robustness columns (docs/ROBUSTNESS.md) — all zero when fault injection
-  // and the work budget are off. fault_events counts the dropout/return/
-  // stall events applied this round; degraded is 1 while a brownout window
+  // and the work budget are off. fault_events counts the dropout/return
+  // events applied this round; degraded is 1 while a brownout window
   // is open; the rest are per-round deltas of the FaultStats counters.
   int64_t fault_events = 0;
   int64_t recovered = 0;   ///< Aboard orders re-pooled after dropouts.
@@ -79,7 +78,7 @@ class TimelineSampler {
   const std::vector<RoundSample>& samples() const { return samples_; }
 
   /// Column-wise sums (round holds the count, now the last sim time,
-  /// pool_size / shareability_edges / pipeline_depth the max seen).
+  /// pool_size / shareability_edges the max seen).
   RoundSample Totals() const;
 
   /// Writes {"rounds": [...], "totals": {...}} as JSON. Returns false if

@@ -94,7 +94,7 @@ class TraceRecorder {
   }
 
   /// Names the calling thread's track in the exported trace ("main",
-  /// "pool-worker-3", "commit-pipeline"). Cheap; callable any time.
+  /// "pool-worker-3"). Cheap; callable any time.
   void SetCurrentThreadName(const std::string& name) {
     CurrentBuffer()->name = name;
   }

@@ -63,7 +63,6 @@ struct DispatchOffer {
   WorkerId worker = kInvalidWorker;
   double pickup_delay = 0.0;        ///< Worker location -> first stop.
   double cost = 0.0;                ///< Ranking key: pickup delay + route.
-  bool solo = false;                ///< Timeout solo fallback, not a group.
   GroupPlan plan;                   ///< Copied: survives pool mutation.
 };
 
@@ -89,7 +88,7 @@ enum class OfferOutcome {
 std::vector<OfferOutcome> ResolveOffers(std::vector<DispatchOffer>* offers);
 
 /// Shard assignment of the frozen round state, for the region-sharded
-/// commit pass (docs/DISPATCH.md, "Region-sharded reconciliation"). Both
+/// conflict resolution (docs/DISPATCH.md, "Region-sharded reconciliation"). Both
 /// callbacks must be pure over the round's frozen state: a worker's shard
 /// is the grid region of its current (idle) location, an order's shard the
 /// region of its pickup. Called only for ids that appear in some offer.
@@ -121,7 +120,8 @@ struct ShardedResolution {
   std::vector<OfferOutcome> outcomes;
   std::vector<OfferScope> scopes;
   /// Home shard (worker shard) per sorted offer; border-scoped offers keep
-  /// their home shard here, the caller routes them to the border arena.
+  /// their home shard here too, though the reconciliation pass resolves
+  /// them.
   std::vector<int> home_shards;
   int64_t interior_offers = 0;
   int64_t border_offers = 0;

@@ -5,14 +5,15 @@
 // of (spec, fleet size, horizon): a fixed --faults spec yields bitwise
 // identical metrics across thread counts and shard counts within each
 // engine, exactly like the faultless determinism contract. (2) Recovery
-// conserves orders: after any schedule of dropouts, late dropouts,
-// brownouts and stalls, served + rejected + failed_services equals the
+// conserves orders: after any schedule of dropouts, late dropouts and
+// brownouts, served + rejected + failed_services equals the
 // number of generated orders, and no claim leaks out of a run. (3) An
 // inert spec is invisible: runs with "" and with a seed-only spec are
 // bitwise identical, which is the in-tree face of the faults-off
 // reproduction guarantee the CLI baselines check across PRs.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -41,7 +42,7 @@ TEST(FaultInjectionTest, EmptySpecIsInert) {
 TEST(FaultInjectionTest, FullSpecRoundTripsThroughToString) {
   const std::string text =
       "dropouts=8;late_dropouts=2;downtime=600;grace=300;brownouts=3;"
-      "brownout_len=90;brownout_factor=2;stalls=4;stall_ms=25;qcap=16;seed=42";
+      "brownout_len=90;brownout_factor=2;seed=42";
   auto spec = ParseFaultSpec(text);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->dropouts, 8);
@@ -51,9 +52,6 @@ TEST(FaultInjectionTest, FullSpecRoundTripsThroughToString) {
   EXPECT_EQ(spec->brownouts, 3);
   EXPECT_EQ(spec->brownout_len, 90.0);
   EXPECT_EQ(spec->brownout_factor, 2.0);
-  EXPECT_EQ(spec->stalls, 4);
-  EXPECT_EQ(spec->stall_ms, 25.0);
-  EXPECT_EQ(spec->qcap, 16);
   EXPECT_EQ(spec->seed, 42u);
   EXPECT_TRUE(spec->any());
   auto reparsed = ParseFaultSpec(FaultSpecToString(*spec));
@@ -74,7 +72,7 @@ TEST(FaultInjectionTest, MalformedSpecsAreInvalidArgument) {
                           "dropouts=abc",       // Not a number.
                           "dropouts=-1",        // Out of domain.
                           "brownout_factor=0",  // Must be positive.
-                          "downtime=-5", "qcap=-2", "stall_ms=-1"}) {
+                          "downtime=-5", "grace=-1"}) {
     auto spec = ParseFaultSpec(bad);
     EXPECT_FALSE(spec.ok()) << "accepted: " << bad;
     if (!spec.ok()) {
@@ -83,11 +81,22 @@ TEST(FaultInjectionTest, MalformedSpecsAreInvalidArgument) {
   }
 }
 
+TEST(FaultInjectionTest, RetiredStallKeysAreInvalidArgument) {
+  // The commit-pipeline keys left the grammar with the pipeline itself; a
+  // spec that still names them must fail loudly rather than run without
+  // the faults it asked for.
+  for (const char* retired : {"stalls=1", "stall_ms=5", "qcap=4"}) {
+    auto spec = ParseFaultSpec(retired);
+    ASSERT_FALSE(spec.ok()) << "accepted: " << retired;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << retired;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Schedule construction.
 
 TEST(FaultInjectionTest, ScheduleIsAPureFunctionOfSpecAndShape) {
-  auto spec = ParseFaultSpec("dropouts=6;late_dropouts=3;brownouts=2;stalls=2");
+  auto spec = ParseFaultSpec("dropouts=6;late_dropouts=3;brownouts=2");
   ASSERT_TRUE(spec.ok());
   FaultInjector a(*spec, /*num_workers=*/50, /*horizon=*/7200.0);
   FaultInjector b(*spec, /*num_workers=*/50, /*horizon=*/7200.0);
@@ -120,6 +129,32 @@ TEST(FaultInjectionTest, SeedChangesTheSchedule) {
               a.events()[i].worker != b.events()[i].worker;
   }
   EXPECT_TRUE(differs);
+}
+
+TEST(FaultInjectionTest, LateDropoutScheduleIsPinned) {
+  // The injector forks one RNG stream per fault kind, in a fixed order; the
+  // late-dropout stream is the fourth fork. These values pin that stream,
+  // so removing or reordering an earlier fork (including the retired stall
+  // slot) fails here instead of silently moving every late-dropout run.
+  auto spec = ParseFaultSpec("late_dropouts=4;dropouts=3;brownouts=1;seed=11");
+  ASSERT_TRUE(spec.ok());
+  FaultInjector injector(*spec, /*num_workers=*/50, /*horizon=*/3600.0,
+                         /*start=*/28800.0);
+  struct Expected {
+    Time time;
+    WorkerId worker;
+  };
+  const Expected expected[] = {{0x1.c25e368dd71b3p+14, 5},
+                               {0x1.e0fa3f3033c53p+14, 12},
+                               {0x1.eb0c32b20a63ep+14, 25},
+                               {0x1.eb6abbdb925p+14, 7}};
+  ASSERT_EQ(injector.late_events().size(), std::size(expected));
+  for (size_t i = 0; i < std::size(expected); ++i) {
+    SCOPED_TRACE("late event " + std::to_string(i));
+    EXPECT_EQ(injector.late_events()[i].time, expected[i].time);
+    EXPECT_EQ(injector.late_events()[i].worker, expected[i].worker);
+    EXPECT_EQ(injector.late_events()[i].kind, FaultKind::kLateDropout);
+  }
 }
 
 TEST(FaultInjectionTest, DegradedOracleIsTransparentAtFactorOne) {
@@ -264,11 +299,10 @@ void ExpectIdentical(const RunOutcome& reference, const RunOutcome& candidate,
 }
 
 // The canonical chaotic schedule: enough dropouts to hit mid-route trips,
-// late dropouts to exercise the claim-failure paths, brownouts, stalls and
-// a bounded queue, all at once.
+// late dropouts to exercise the claim-failure paths, and brownouts, all at
+// once.
 constexpr char kChaosSpec[] =
-    "dropouts=10;late_dropouts=4;downtime=400;brownouts=3;brownout_len=200;"
-    "stalls=3;stall_ms=5;qcap=4";
+    "dropouts=10;late_dropouts=4;downtime=400;brownouts=3;brownout_len=200";
 
 class FaultChaosTest
     : public testing::TestWithParam<std::tuple<uint64_t, DispatchMode>> {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <tuple>
@@ -52,7 +53,8 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
                           int num_shards = 1,
                           OracleKind oracle = OracleKind::kMatrix,
                           GeoBackend geo = GeoBackend::kBucket,
-                          bool traced = false) {
+                          bool traced = false,
+                          const std::string& faults = "") {
   WorkloadOptions workload = DeterminismWorkload(seed);
   workload.oracle = oracle;
   workload.geo = geo;
@@ -65,6 +67,7 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
   options.cancellation_hazard = cancellation_hazard;
   options.dispatch = dispatch;
   options.num_shards = num_shards;
+  options.faults = faults;
   std::string trace_path, timeline_path;
   if (traced) {
     trace_path = ::testing::TempDir() + "/determinism_trace.json";
@@ -231,14 +234,13 @@ INSTANTIATE_TEST_SUITE_P(
                                      DispatchMode::kBatched)),
     CaseName);
 
-// Shard axis: the region-sharded, pipelined commit pass must be invisible
-// in the results. The unsharded 1-thread run is the reference; every
+// Shard axis: the region-sharded conflict resolution must be invisible in
+// the results. The unsharded 1-thread run is the reference; every
 // (shards, threads) combination must match it bit for bit — metrics,
 // served/expired sets, and the deterministic dispatch counters — in both
 // engines (kSerial ignores the knob; asserting that guards against the
 // shard plumbing leaking into the serial path). The ResolveOffersSharded
-// equality proof (decision.h) is what this exercises end to end, plus the
-// pipelined bookkeeping's FIFO accumulation order.
+// equality proof (decision.h) is what this exercises end to end.
 class ShardedDeterminismTest
     : public testing::TestWithParam<std::tuple<uint64_t, DispatchMode>> {
  protected:
@@ -335,6 +337,66 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(DispatchMode::kSerial,
                                      DispatchMode::kBatched)),
     CaseName);
+
+// Golden output: the determinism suites above compare runs with each other,
+// so a semantic drift that moves every configuration alike would pass them.
+// These values pin seed 7's outcome per engine configuration; a change that
+// moves any of them changes what the engines compute, and must say so.
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+struct GoldenCase {
+  const char* name;
+  DispatchMode dispatch;
+  int shards;
+  const char* faults;
+  int64_t served;
+  int64_t rejected;
+  int64_t committed;
+  int64_t worker_conflicts;
+  int64_t order_conflicts;
+  uint64_t metrs_objective_bits;
+  uint64_t unified_cost_bits;
+};
+
+// Dropouts, late dropouts and brownouts at once (the chaos suite's spec).
+constexpr char kGoldenFaults[] =
+    "dropouts=10;late_dropouts=4;downtime=400;brownouts=3;brownout_len=200;"
+    "seed=11";
+
+const GoldenCase kGoldenCases[] = {
+    {"serial", DispatchMode::kSerial, 1, "", 281, 219, 0, 0, 0,
+     0x4100b5f01f1e85a6ULL, 0x4134f105b8d14000ULL},
+    {"batched_shards1", DispatchMode::kBatched, 1, "", 314, 186, 185, 1513,
+     235, 0x4100ea4e170b3df6ULL, 0x4133d09c5ef0c000ULL},
+    {"batched_shards4", DispatchMode::kBatched, 4, "", 314, 186, 185, 1513,
+     235, 0x4100ea4e170b3df6ULL, 0x4133d09c5ef0c000ULL},
+    {"batched_shards4_faults", DispatchMode::kBatched, 4, kGoldenFaults, 271,
+     226, 166, 1229, 224, 0x410213879820d509ULL, 0x4136b06f56fbb000ULL},
+};
+
+TEST(GoldenOutputTest, Seed7MatchesPinnedValues) {
+  for (const GoldenCase& golden : kGoldenCases) {
+    SCOPED_TRACE(golden.name);
+    RunOutcome outcome =
+        RunWithThreads(7, 4, 0.0, golden.dispatch, golden.shards,
+                       OracleKind::kMatrix, GeoBackend::kBucket,
+                       /*traced=*/false, golden.faults);
+    const MetricsReport& r = outcome.report;
+    EXPECT_EQ(r.served, golden.served);
+    EXPECT_EQ(r.rejected, golden.rejected);
+    EXPECT_EQ(r.dispatch.committed, golden.committed);
+    EXPECT_EQ(r.dispatch.worker_conflicts, golden.worker_conflicts);
+    EXPECT_EQ(r.dispatch.order_conflicts, golden.order_conflicts);
+    EXPECT_EQ(Bits(r.metrs_objective), golden.metrs_objective_bits)
+        << r.metrs_objective;
+    EXPECT_EQ(Bits(r.unified_cost), golden.unified_cost_bits)
+        << r.unified_cost;
+  }
+}
 
 }  // namespace
 }  // namespace watter

@@ -15,6 +15,8 @@
 //   --dataset nyc|cdc|xia [cdc]   --orders N [1500]   --workers M [150]
 //   --tau X [1.6]  --eta X [0.8]  --capacity K [4]    --seed S [42]
 //   --city-seed S [derived]       --duration HOURS [2]
+//   Every dataset, nyc and xia included, runs on the all-pairs matrix
+//   travel-time oracle.
 //   --threads T [1; 0 = all hardware threads] — parallelism of the check
 //   loop and pool maintenance; metrics are identical for any T.
 //   --dispatch serial|batched [batched] — decision engine of the WATTER
@@ -22,22 +24,17 @@
 //   default — its cost-ranked commits serve more orders under contention,
 //   see docs/PERFORMANCE.md) or the paper-faithful sequential loop. Either
 //   engine is deterministic for any --threads.
-//   --geo per-query|bucket [bucket] — travel-time oracle backend for the
-//   CH-backed datasets (nyc/xia): the batched bucket-CH oracle (default,
-//   src/geo/bucket_ch.h) or the per-query CH oracle. The two are bitwise
-//   equivalent (tests/geo_oracle_equivalence_test.cc) — the flag only moves
-//   runtime, never a metric. Ignored by the matrix-oracle cdc dataset.
-//   --shards N [1] — region shards of the batched engine's commit pass
-//   (docs/DISPATCH.md): N > 1 partitions the feature grid into N regions,
-//   resolves interior offers per shard in parallel with a serial border
-//   reconciliation, and pipelines commit bookkeeping against the next
-//   round's propose. Metrics are identical for any N (the sharded pass is
-//   bitwise-equal to the global one); ignored by --dispatch serial.
+//   --shards N [1] — region shards of the batched engine's conflict
+//   resolution (docs/DISPATCH.md): N > 1 partitions the feature grid into N
+//   regions and resolves interior offers per shard in parallel with a
+//   serial border reconciliation; N = 1 is one global scan. Metrics are
+//   identical for any N (the sharded scan is bitwise-equal to the global
+//   one); ignored by --dispatch serial.
 //
 // Robustness flags (docs/ROBUSTNESS.md):
 //   --faults SPEC — deterministic fault injection, e.g.
-//   "dropouts=5;brownouts=2;seed=7". Worker dropouts/returns, oracle
-//   brownouts, and pipeline stalls fire from a precomputed seeded schedule,
+//   "dropouts=5;brownouts=2;seed=7". Worker dropouts/returns, late
+//   dropouts, and oracle brownouts fire from a precomputed seeded schedule,
 //   so a fixed spec is bitwise reproducible across threads and shards.
 //   Empty (the default) disables fault injection entirely.
 //   --budget N — per-round propose work budget in deterministic work units
@@ -51,9 +48,9 @@
 // bitwise identical whether they are set or not):
 //   --trace FILE — export a Chrome trace-event JSON of the run (load in
 //   Perfetto / chrome://tracing): phase spans for every check round, pool
-//   refresh internals, oracle batches, thread-pool and commit-pipeline jobs.
+//   refresh internals, oracle batches, thread-pool jobs.
 //   --timeline FILE — per-round timeline (pool size, shareability edges,
-//   offers/conflicts, pipeline depth, phase durations, counter deltas) as
+//   offers/conflicts, phase durations, counter deltas) as
 //   JSON, or CSV when FILE ends in ".csv".
 //   --metrics-json FILE — dump the full MetricsReport as one JSON object
 //   (bench_util field names for the overlapping fields, so it diffs against
@@ -105,8 +102,7 @@ struct CliArgs {
                "                  --city-seed S --duration HOURS\n"
                "                  --threads T (0 = all hardware threads)\n"
                "                  --dispatch serial|batched (default batched)\n"
-               "                  --geo per-query|bucket (default bucket)\n"
-               "                  --shards N (default 1 = unsharded commit)\n"
+               "                  --shards N (default 1 = one global scan)\n"
                "  robustness:     --faults SPEC (docs/ROBUSTNESS.md grammar)\n"
                "                  --budget N (per-round propose work units)\n"
                "                  --watchdog-ms MS (wall-clock budget clamp)\n"
@@ -175,15 +171,6 @@ CliArgs Parse(int argc, char** argv) {
         args.sim.dispatch = DispatchMode::kBatched;
       } else {
         Usage("unknown dispatch mode (serial|batched)");
-      }
-    } else if (std::strcmp(argv[i], "--geo") == 0) {
-      std::string backend = need_value("--geo");
-      if (backend == "per-query") {
-        args.workload.geo = GeoBackend::kPerQuery;
-      } else if (backend == "bucket") {
-        args.workload.geo = GeoBackend::kBucket;
-      } else {
-        Usage("unknown geo backend (per-query|bucket)");
       }
     } else if (std::strcmp(argv[i], "--strategy") == 0) {
       args.strategy = need_value("--strategy");
@@ -268,7 +255,7 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
   // (docs/ROBUSTNESS.md). Deterministic except the watchdog trips.
   const FaultStats& faults = report.faults;
   if (faults.dropouts + faults.late_dropouts + faults.returns +
-          faults.brownout_rounds + faults.stalls + faults.shed_orders +
+          faults.brownout_rounds + faults.shed_orders +
           faults.watchdog_trips >
       0) {
     Table fault_table({"fault counter", "value"});
@@ -280,7 +267,6 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
     fault_table.AddRow({"worker returns", std::to_string(faults.returns)});
     fault_table.AddRow({"brownout rounds",
                         std::to_string(faults.brownout_rounds)});
-    fault_table.AddRow({"pipeline stalls", std::to_string(faults.stalls)});
     fault_table.AddRow({"orders recovered",
                         std::to_string(faults.recovered_orders)});
     fault_table.AddRow({"failed services",
