@@ -1,12 +1,15 @@
 // Paper-scale geo bench: the travel-time-oracle backend A/B at the paper's
 // headline n = 125k orders / m = 6k workers (Table III, NYC upper end).
 //
-// The simulator's two oracle hot paths are batch-shaped (docs/PERFORMANCE.md):
-//   fleet-probe — Fleet::FindClosestIdle refines K Euclidean candidates with
-//     one ManyToOne(worker locations -> pickup) batch per dispatch probe;
-//   pair-test  — the shareability-edge refresh primes all four directed
-//     batches around an anchor order (OneToMany from pickup/dropoff,
-//     ManyToOne back to pickup/dropoff) before testing candidates.
+// Two batch shapes (docs/PERFORMANCE.md):
+//   fleet-probe — the simulator's batch hot path: Fleet::FindClosestIdle
+//     refines K Euclidean candidates with one ManyToOne(worker locations ->
+//     pickup) batch per dispatch probe;
+//   pair-test  — a synthetic shape kept for the backend checksum and A/B:
+//     four directed batches around an anchor order (OneToMany from
+//     pickup/dropoff, ManyToOne back to pickup/dropoff) over candidates'
+//     endpoints. No simulator path issues it: a shareability insertion's
+//     pair tests query their legs one Cost() at a time.
 // This driver replays both shapes over a generated city against the per-query
 // CH oracle and the bucket-CH oracle (src/geo/bucket_ch.h) and reports the
 // wall-clock A/B. The backends are bitwise-equivalent
@@ -95,8 +98,8 @@ PathResult RunProbePath(TravelTimeOracle* oracle, const GeoScale& scale,
   return result;
 }
 
-// The pair-test path: per anchor, the shareability refresh's four directed
-// batches over the candidates' pickup+dropoff nodes (shareability_graph.cc).
+// The synthetic pair-test shape: per anchor, four directed batches over the
+// candidates' pickup+dropoff nodes. No simulator path issues these batches.
 PathResult RunPairPath(TravelTimeOracle* oracle, const GeoScale& scale,
                        const std::vector<NodeId>& pickups,
                        const std::vector<NodeId>& dropoffs) {

@@ -25,19 +25,17 @@ MetricsReport RunNonSharing(Scenario* scenario,
           queue.pop_front();
           continue;
         }
-        WorkerId worker_id =
+        const IdleMatch match =
             fleet.FindClosestIdle(order.pickup, order.riders,
                                   scenario->oracle.get(),
                                   options.worker_candidates);
-        if (worker_id == kInvalidWorker) break;  // FIFO: wait for a worker.
-        const Worker& worker = fleet.worker(worker_id);
-        double pickup_delay =
-            scenario->oracle->Cost(worker.location, order.pickup);
+        if (match.worker == kInvalidWorker) break;  // FIFO: wait for a worker.
+        const double pickup_delay = match.cost;
         double response = now - order.release;
         metrics.RecordServed(order, response, /*detour=*/0.0,
                              /*group_size=*/1);
         metrics.AddWorkerTravel(pickup_delay + order.shortest_cost);
-        fleet.Dispatch(worker_id,
+        fleet.Dispatch(match.worker,
                        now + pickup_delay + order.shortest_cost,
                        order.dropoff);
         queue.pop_front();

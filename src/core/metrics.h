@@ -53,8 +53,8 @@ struct PoolStats {
 /// deliberately racy (travel_time_oracle.h), so multi-threaded runs may
 /// drop a few counts, and the two geo backends intentionally issue
 /// different query totals. Determinism comparisons exclude them, like
-/// wall-clock fields. bucket_build_seconds is the exception: it accumulates
-/// once per memoized search-space build under the oracle mutex, so it is
+/// wall-clock fields. bucket_build_seconds is the exception: it is an
+/// atomic nanosecond total, added once per published search space, so it is
 /// exact — but it is wall-clock, hence still excluded from determinism.
 struct GeoStats {
   int64_t queries = 0;        ///< Point results answered (batched or not).

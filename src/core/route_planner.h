@@ -62,11 +62,6 @@ class RoutePlanner {
   bool PairShareable(const Order& a, const Order& b, Time depart_time,
                      int capacity);
 
-  /// The bound oracle (not owned). Exposed so callers about to issue a burst
-  /// of plans over a known endpoint set can prime batch-capable oracles
-  /// (see ShareabilityGraph::Insert).
-  TravelTimeOracle* oracle() const { return oracle_; }
-
   /// Number of PlanBest calls (diagnostics for the benches).
   int64_t plan_count() const {
     return plan_count_.load(std::memory_order_relaxed);

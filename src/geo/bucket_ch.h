@@ -16,25 +16,26 @@
 // many-to-many costs |S| + |T| searches instead of |S| * |T|.
 //
 // Search spaces are also *node-deterministic*: the full upward space of a
-// node never changes, so the oracle memoizes each computed space (per
-// direction, within a bounded entry budget). Across batches the dispatch
-// workload revisits the same endpoints constantly — every idle worker is
-// probed by many orders — and a revisit turns the Dijkstra into an array
-// append, which is where the bulk of the batch speedup comes from.
+// node never changes, so the oracle computes each (node, direction) space
+// once and publishes it for every later caller (within a bounded entry
+// budget). Across batches the dispatch workload revisits the same endpoints
+// constantly — every idle worker is probed by many orders — and a revisit
+// turns the Dijkstra into an array append, which is where the bulk of the
+// batch speedup comes from. A point query is the same join over two
+// published spaces, behind a memo of the pairs already answered.
 //
-// Exactness: the batch result for a pair is min over meeting nodes v of
+// Exactness: the result for a pair is min over meeting nodes v of
 // dist_up(s, v) + dist_down(v, t), computed from the same upward/downward
 // search graphs and the same Dijkstra relaxations as
 // ContractionHierarchy::Query — so results are bitwise identical to the
 // per-query oracle (geo_oracle_equivalence_test pins this, including
-// unreachable pairs and source == target).
+// unreachable pairs, source == target, and concurrent callers).
 #ifndef WATTER_GEO_BUCKET_CH_H_
 #define WATTER_GEO_BUCKET_CH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/geo/contraction_hierarchy.h"
@@ -42,29 +43,35 @@
 
 namespace watter {
 
-/// Batch-first oracle over a contraction hierarchy.
+/// Batch-first, lock-free oracle over a contraction hierarchy.
 ///
-/// Point queries run the same pruned bidirectional upward search as
-/// ChOracle (plus the same memo cache), so the bucket backend is never a
-/// regression for point-to-point callers; batch queries use buckets and
-/// *prime the memo cache* with every pair they answer, which is what makes
-/// the pool's per-anchor prefetch turn the planner's later point queries
-/// into cache hits.
+/// Point and batch queries share one mechanism: join memoized upward search
+/// spaces. Every answered pair is also kept in a fixed-size pair memo, so a
+/// repeated point query is one hash probe.
 ///
-/// Thread safety: all queries serialize behind one internal mutex (the same
-/// contract as ChOracle). The oracle keeps private search scratch — it
-/// never touches the hierarchy's own Query() buffers — so a hierarchy may
-/// be shared with a ChOracle as long as that oracle's use is serialized
-/// separately.
+/// Thread safety: every query may run concurrently with every other, and
+/// none takes a lock. The hierarchy is only read. Each published search
+/// space is immutable once a compare-and-swap makes it visible, and a racing
+/// builder of the same space discards its identical copy. The pair memo is
+/// an insert-only open-addressing table of atomic slots. Dijkstra, join and
+/// bucket scratch is per thread. The oracle never calls the hierarchy's
+/// Query(), so it may share a hierarchy with a ChOracle.
 class BucketChOracle : public TravelTimeOracle {
  public:
-  /// `space_budget` caps the total entries memoized across all per-node
-  /// search spaces (~16 bytes each); past it, spaces are recomputed into
-  /// scratch instead of cached. The default (~64 MB worst case) covers every
-  /// node of the generated cities many times over.
+  /// `cache_capacity` bounds the pair memo: min(cache_capacity, nodes^2)
+  /// rounded up to a power of two slots (16 bytes each), of which at most
+  /// three quarters are filled; past that, pairs are answered without being
+  /// stored. `space_budget` caps the total entries (~16 bytes each) of the
+  /// published search spaces; past it, spaces are recomputed into per-thread
+  /// scratch instead. The defaults cover every node of the generated cities
+  /// many times over. Answers never depend on either bound.
   explicit BucketChOracle(std::shared_ptr<const ContractionHierarchy> ch,
                           size_t cache_capacity = 1 << 20,
                           size_t space_budget = 1 << 22);
+  ~BucketChOracle() override;
+
+  BucketChOracle(const BucketChOracle&) = delete;
+  BucketChOracle& operator=(const BucketChOracle&) = delete;
 
   double Cost(NodeId from, NodeId to) override;
   void ManyToOne(std::span<const NodeId> sources, NodeId target,
@@ -77,100 +84,87 @@ class BucketChOracle : public TravelTimeOracle {
 
   bool NativeBatch() const override { return true; }
 
-  /// Cumulative seconds spent running the memoized search-space Dijkstras
-  /// (the batch-side preprocessing the per-query oracle has no analogue
-  /// of). Each (node, direction) build is timed exactly once, accumulated
-  /// monotonically under mu_ — unlike the base-class query/batch counters,
-  /// this figure is exact even under concurrent callers.
+  /// Cumulative seconds spent running the search-space Dijkstras that got
+  /// published: each (node, direction) counts at most once, and neither a
+  /// racing builder's discarded copy nor an over-budget scratch rebuild
+  /// counts. Kept as an atomic nanosecond total, so it is exact under
+  /// concurrent callers.
   double bucket_build_seconds() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bucket_build_seconds_;
+    return static_cast<double>(build_ns_.load(std::memory_order_relaxed)) *
+           1e-9;
   }
 
+  /// Distinct pairs stored in the pair memo (exact when no query is in
+  /// flight).
   size_t cache_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cache_.size();
+    return memo_used_.load(std::memory_order_relaxed);
   }
 
-  /// Total entries currently memoized across per-node search spaces.
+  /// Total entries across the published search spaces.
   size_t space_entries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return space_entries_;
+    return space_entries_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// One scattered search-space entry: `slot` indexes the batch-local
-  /// distinct-endpoint list, `dist` is the upward distance from (or to) it.
-  struct BucketEntry {
-    int32_t slot;
-    double dist;
-  };
-
-  /// One memoized search-space label: the settled node and its upward
-  /// distance from (or to) the space's root, in settle order.
+  /// One search-space label: the settled node and its upward distance from
+  /// (or to) the space's root, in settle order.
   struct SpaceEntry {
     NodeId node;
     double dist;
   };
+  using Space = std::vector<SpaceEntry>;
 
-  /// Runs a full (unpruned) upward Dijkstra from `root` over the forward or
-  /// backward search graph, invoking emit(node, dist) for every settled
-  /// node. Uses the direction's private scratch; caller holds mu_.
-  template <typename Emit>
-  void SearchSpace(NodeId root, bool forward, Emit&& emit);
+  /// One pair-memo slot. `key` is PairKey(from, to), 0 while empty (0 is
+  /// the pair 0->0, which is never stored), or key | kPending while its
+  /// writer is storing `value`.
+  struct MemoSlot {
+    std::atomic<uint64_t> key{0};
+    std::atomic<double> value{0.0};
+  };
 
-  /// `root`'s full search space in settle order, memoized per direction
-  /// while space_budget_ lasts (recomputed into scratch past it — the
-  /// returned pointer is then only valid until the next call). The space of
-  /// a node is deterministic, so cached and fresh spaces are identical and
-  /// batch results cannot depend on cache state. Caller holds mu_.
-  const std::vector<SpaceEntry>* CachedSpace(NodeId root, bool forward);
+  /// Per-thread query scratch (defined in bucket_ch.cc).
+  struct Scratch;
 
-  /// The pruned bidirectional point query (same algorithm and relaxation
-  /// order as ContractionHierarchy::Query, over private scratch).
-  double PointQuery(NodeId source, NodeId target);
+  /// This thread's scratch, sized for this oracle.
+  Scratch& LocalScratch() const;
+
+  /// `root`'s full upward search space in the given direction. Published
+  /// spaces live as long as the oracle; an over-budget space is built into
+  /// the thread's overflow buffer for that direction and is valid until the
+  /// next SpaceOf call in the same direction on this thread.
+  const Space& SpaceOf(NodeId root, bool forward, Scratch& scratch);
 
   /// Shared core of ManyToOne/OneToMany: answers all (batch[i], apex) or
-  /// (apex, batch[i]) pairs, `forward` naming the batch side's search
-  /// direction. Caller holds mu_.
+  /// (apex, batch[i]) pairs, `batch_is_sources` naming the batch side.
   void BatchAgainstApex(std::span<const NodeId> batch, NodeId apex,
                         bool batch_is_sources, std::span<double> out);
 
-  /// Memo-cache insert with the epoch flush ChOracle uses.
-  void CacheInsert(NodeId from, NodeId to, double cost);
-  bool CacheLookup(NodeId from, NodeId to, double* cost) const;
+  bool MemoLookup(NodeId from, NodeId to, double* cost) const;
+  void MemoInsert(NodeId from, NodeId to, double cost);
 
   std::shared_ptr<const ContractionHierarchy> ch_;
-  size_t cache_capacity_;
+  // Keys the thread-local scratch. Taken from a global counter rather than
+  // `this`, so an oracle allocated at a freed oracle's address never
+  // inherits scratch sized for its predecessor.
+  const uint64_t id_;
 
-  mutable std::mutex mu_;  // Guards everything below.
-  std::unordered_map<uint64_t, double> cache_;
-  double bucket_build_seconds_ = 0.0;
+  // Published search spaces, one cell per node and direction; null until
+  // the first build wins the compare-and-swap. Owned (freed in the
+  // destructor).
+  std::vector<std::atomic<const Space*>> spaces_f_;
+  std::vector<std::atomic<const Space*>> spaces_b_;
+  const size_t space_budget_;
+  std::atomic<size_t> space_entries_{0};
+  std::atomic<int64_t> build_ns_{0};
 
-  // Versioned Dijkstra scratch, one pair per direction, reused across
-  // queries without clearing.
-  std::vector<double> dist_f_;
-  std::vector<double> dist_b_;
-  std::vector<uint32_t> version_f_;
-  std::vector<uint32_t> version_b_;
-  uint32_t query_version_ = 0;
-
-  // Bucket scratch: buckets_[v] holds the scattered entries of the current
-  // batch; touched_ lists the non-empty buckets so clearing is O(spaces),
-  // not O(nodes).
-  std::vector<std::vector<BucketEntry>> buckets_;
-  std::vector<NodeId> touched_;
-
-  // Memoized per-node search spaces (space_f_[v] valid iff
-  // space_built_f_[v], same for backward), bounded by space_budget_ total
-  // entries; space_scratch_ receives over-budget recomputations.
-  std::vector<std::vector<SpaceEntry>> space_f_;
-  std::vector<std::vector<SpaceEntry>> space_b_;
-  std::vector<uint8_t> space_built_f_;
-  std::vector<uint8_t> space_built_b_;
-  std::vector<SpaceEntry> space_scratch_;
-  size_t space_budget_;
-  size_t space_entries_ = 0;
+  // Pair memo: memo_mask_ + 1 slots (none when the capacity is 0), filled to
+  // at most memo_limit_. memo_used_ counts stored pairs plus in-flight
+  // reservations; it sits on its own cache line so that inserts do not
+  // evict the fields every lookup reads.
+  std::unique_ptr<MemoSlot[]> memo_;
+  size_t memo_mask_ = 0;
+  size_t memo_limit_ = 0;
+  alignas(64) std::atomic<size_t> memo_used_{0};
 };
 
 }  // namespace watter

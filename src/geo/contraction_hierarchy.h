@@ -48,16 +48,19 @@ class ContractionHierarchy {
 
   /// The forward (upward) search graph's arcs out of `v`. Exposed so batch
   /// backends (bucket-CH, src/geo/bucket_ch.h) can run their own searches
-  /// over the hierarchy with private scratch — sharing one hierarchy between
-  /// a ChOracle and a BucketChOracle is then safe as long as each oracle
-  /// serializes its own Query() use.
+  /// over the hierarchy with their own scratch. The arcs are immutable, so
+  /// any number of threads may read them while one thread runs Query();
+  /// only Query() itself needs serializing (ChOracle holds its mutex for
+  /// it), because it reuses the scratch buffers below.
   std::span<const Arc> UpArcs(NodeId v) const {
-    return {&up_arcs_[up_offsets_[v]], &up_arcs_[up_offsets_[v + 1]]};
+    return {up_arcs_.data() + up_offsets_[v],
+            up_arcs_.data() + up_offsets_[v + 1]};
   }
   /// The backward search graph's arcs at `v` (Arc::to is the *tail* of the
   /// original arc; weights are unchanged).
   std::span<const Arc> DownArcs(NodeId v) const {
-    return {&down_arcs_[down_offsets_[v]], &down_arcs_[down_offsets_[v + 1]]};
+    return {down_arcs_.data() + down_offsets_[v],
+            down_arcs_.data() + down_offsets_[v + 1]};
   }
 
  private:

@@ -36,7 +36,9 @@ namespace watter {
 ///
 /// Thread safety: all queries may be called concurrently from the platform's
 /// parallel check/maintenance loops. MatrixOracle is wait-free (const table
-/// reads); the caching oracles serialize behind an internal mutex.
+/// reads) and BucketChOracle is lock-free (published search spaces, an
+/// atomic pair memo, per-thread scratch); ChOracle and DijkstraOracle
+/// serialize behind an internal mutex.
 class TravelTimeOracle {
  public:
   virtual ~TravelTimeOracle() = default;
@@ -66,13 +68,12 @@ class TravelTimeOracle {
                           std::span<double> out);
 
   /// True when the batch calls are genuinely batched rather than the base
-  /// class's Cost() loops. Callers use this to decide whether cache-priming
-  /// prefetches (e.g. the shareability graph's per-anchor candidate batch)
-  /// pay for themselves.
+  /// class's Cost() loops. Wrappers forward it, so a harness can confirm
+  /// which backend it is measuring.
   virtual bool NativeBatch() const { return false; }
 
   /// Seconds spent building memoized search spaces (bucket-CH only; 0
-  /// elsewhere). Accumulated once per build under the oracle's mutex, so —
+  /// elsewhere). Accumulated atomically once per published space, so —
   /// unlike the racy diagnostic counters below — it is exact.
   virtual double bucket_build_seconds() const { return 0.0; }
 
@@ -100,8 +101,8 @@ class TravelTimeOracle {
   // diagnostic; the relaxed atomic accesses keep them TSan-clean and exact
   // whenever queries are serial. These three (query_count_, batch_count_,
   // batch_points_) are the only remaining racy-by-design counters —
-  // bucket_build_seconds accumulates under the bucket oracle's mutex and
-  // is exact.
+  // bucket_build_seconds is an atomic fetch_add per published search space
+  // and is exact.
   void CountQuery() { CountQueries(1); }
 
   void CountQueries(int64_t n) {

@@ -60,30 +60,6 @@ Result<std::vector<OrderId>> ShareabilityGraph::Insert(
   }
   pair_tests_ += static_cast<int64_t>(candidates.size());
 
-  // Batch prefetch for natively batched oracles: every pair plan below needs
-  // costs between the new order's endpoints and the candidate's, so issue
-  // them as four anchor-shaped batches (one per direction per endpoint).
-  // The bucket backend answers each with two search spaces for the anchor
-  // plus one per distinct candidate node — and primes its memo cache, which
-  // turns the planner's point queries into hits. Results are discarded; the
-  // batches are bitwise-equal to the Cost() calls they pre-answer, so this
-  // cannot change any plan.
-  TravelTimeOracle* oracle = planner_->oracle();
-  if (oracle->NativeBatch() && !candidates.empty()) {
-    std::vector<NodeId> nodes;
-    nodes.reserve(candidates.size() * 2);
-    for (OrderId id : candidates) {
-      const Order& candidate = entries_.find(id)->second.order;
-      nodes.push_back(candidate.pickup);
-      nodes.push_back(candidate.dropoff);
-    }
-    std::vector<double> scratch(nodes.size());
-    oracle->OneToMany(order.pickup, nodes, scratch);
-    oracle->OneToMany(order.dropoff, nodes, scratch);
-    oracle->ManyToOne(nodes, order.pickup, scratch);
-    oracle->ManyToOne(nodes, order.dropoff, scratch);
-  }
-
   // Fan-out phase: pair-feasibility tests are pure (planner + oracle are
   // thread-safe; the graph is not mutated), each writing only its own slot.
   struct TestedEdge {

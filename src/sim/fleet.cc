@@ -29,9 +29,9 @@ void Fleet::ReleaseUntil(Time now) {
   }
 }
 
-WorkerId Fleet::FindClosestIdle(NodeId target, int min_capacity,
-                                TravelTimeOracle* oracle,
-                                int candidates) const {
+IdleMatch Fleet::FindClosestIdle(NodeId target, int min_capacity,
+                                 TravelTimeOracle* oracle,
+                                 int candidates) const {
   auto nearby = idle_index_.KNearest(
       candidates, graph_->node_point(target),
       [this, min_capacity](int64_t id) {
@@ -41,8 +41,10 @@ WorkerId Fleet::FindClosestIdle(NodeId target, int min_capacity,
   // batch: all candidate workers share `target`, which is exactly the shape
   // the bucket-CH backend answers with K forward spaces + 1 backward sweep
   // instead of K bidirectional queries. Batch results equal the Cost() loop
-  // bitwise, so the selection below is backend-independent. Buffers are
-  // local because the batched dispatch engine probes concurrently.
+  // bitwise, so the selection below is backend-independent and the winner's
+  // batch slot is exactly the pickup cost a Cost() call would return.
+  // Buffers are local because the batched dispatch engine probes
+  // concurrently.
   std::vector<NodeId> probe_locations;
   probe_locations.reserve(nearby.size());
   for (int64_t id : nearby) {
@@ -50,12 +52,10 @@ WorkerId Fleet::FindClosestIdle(NodeId target, int min_capacity,
   }
   std::vector<double> probe_costs(probe_locations.size());
   oracle->ManyToOne(probe_locations, target, probe_costs);
-  WorkerId best = kInvalidWorker;
-  double best_cost = kInfCost;
+  IdleMatch best;
   for (size_t i = 0; i < nearby.size(); ++i) {
-    if (probe_costs[i] < best_cost) {
-      best_cost = probe_costs[i];
-      best = workers_[nearby[i] - 1].id;
+    if (probe_costs[i] < best.cost) {
+      best = {workers_[nearby[i] - 1].id, probe_costs[i]};
     }
   }
   return best;

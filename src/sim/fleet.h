@@ -37,6 +37,13 @@ enum class WorkerTake {
   kOffline,  // Was already offline; the call was a no-op.
 };
 
+/// FindClosestIdle's answer: the chosen worker and its travel time to the
+/// probe target (kInvalidWorker and kInfCost when none qualifies).
+struct IdleMatch {
+  WorkerId worker = kInvalidWorker;
+  double cost = kInfCost;
+};
+
 /// Manages worker state over simulated time.
 class Fleet {
  public:
@@ -49,11 +56,14 @@ class Fleet {
 
   /// Returns the idle worker closest (by travel time to `target`) among the
   /// `candidates` nearest by Euclidean distance, with capacity >=
-  /// `min_capacity`; kInvalidWorker if none qualifies. Pure read: safe to
-  /// call concurrently (the batched propose phase probes the frozen idle
-  /// set in parallel) as long as `oracle` is thread-safe — all are.
-  WorkerId FindClosestIdle(NodeId target, int min_capacity,
-                           TravelTimeOracle* oracle, int candidates = 8) const;
+  /// `min_capacity`, together with that travel time; a worker is only
+  /// chosen at a finite cost, so kInvalidWorker means none qualifies or
+  /// none can reach `target`. Pure read: safe to call concurrently (the
+  /// batched propose phase probes the frozen idle set in parallel) as long
+  /// as `oracle` is thread-safe — all are.
+  IdleMatch FindClosestIdle(NodeId target, int min_capacity,
+                            TravelTimeOracle* oracle,
+                            int candidates = 8) const;
 
   /// Two-phase dispatch, used by the platform's commit routine
   /// (docs/DISPATCH.md):

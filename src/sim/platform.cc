@@ -223,19 +223,15 @@ bool WatterPlatform::ExpireIfDue(const Order& order, Time now) {
 }
 
 bool WatterPlatform::BindWorker(DispatchOffer* offer, int riders) const {
-  // Bind the closest capacity-feasible idle worker; no worker (or an
-  // unreachable pickup), no bid.
-  NodeId first_stop = offer->plan.route.stops.front().node;
-  WorkerId worker_id =
-      fleet_.FindClosestIdle(first_stop, riders, oracle_,
-                             options_.worker_candidates);
-  if (worker_id == kInvalidWorker) return false;
-  double pickup_delay =
-      oracle_->Cost(fleet_.worker(worker_id).location, first_stop);
-  if (pickup_delay == kInfCost) return false;
-  offer->worker = worker_id;
-  offer->pickup_delay = pickup_delay;
-  offer->cost = pickup_delay + offer->plan.total_cost;
+  // Bind the closest capacity-feasible idle worker at the pickup cost its
+  // probe measured; no reachable worker, no bid.
+  const IdleMatch match =
+      fleet_.FindClosestIdle(offer->plan.route.stops.front().node, riders,
+                             oracle_, options_.worker_candidates);
+  if (match.worker == kInvalidWorker) return false;
+  offer->worker = match.worker;
+  offer->pickup_delay = match.cost;
+  offer->cost = match.cost + offer->plan.total_cost;
   return true;
 }
 

@@ -16,6 +16,9 @@
 // unreachable (kInfCost) and source == target (0.0) verdicts.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -35,10 +38,14 @@ std::shared_ptr<const ContractionHierarchy> BuildCh(const Graph& graph) {
 }
 
 /// Draws a batch of nodes that deliberately includes the adversarial shapes:
-/// duplicates (exercises the distinct-endpoint dedupe) and, with `apex`
-/// given, the apex itself (source == target must short-circuit to 0.0).
+/// duplicates (exercises the distinct-endpoint dedupe), with `apex` given
+/// the apex itself (source == target must short-circuit to 0.0), and with
+/// `out_of_range` > 0 that share of ids outside the graph. At the default
+/// of 0 the out-of-range branch never fires and consumes no random draws,
+/// so callers that pass no share keep their seeded node sequences.
 std::vector<NodeId> DrawBatch(const City& city, Rng* rng, int max_size,
-                              NodeId apex = kInvalidNode) {
+                              NodeId apex = kInvalidNode,
+                              double out_of_range = 0.0) {
   int size = static_cast<int>(rng->UniformInt(1, max_size));
   std::vector<NodeId> nodes;
   nodes.reserve(static_cast<size_t>(size));
@@ -49,6 +56,9 @@ std::vector<NodeId> DrawBatch(const City& city, Rng* rng, int max_size,
           rng->UniformInt(0, static_cast<int64_t>(nodes.size()) - 1))]);
     } else if (roll < 0.3 && apex != kInvalidNode) {
       nodes.push_back(apex);
+    } else if (out_of_range > 0.0 && roll >= 1.0 - out_of_range) {
+      nodes.push_back(rng->Bernoulli(0.5) ? NodeId{-1}
+                                          : city.graph.num_nodes());
     } else {
       nodes.push_back(city.RandomNode(rng));
     }
@@ -278,6 +288,161 @@ TEST(OracleEquivalenceEdgeTest, BatchCountersAccountEverySlot) {
   EXPECT_EQ(bucket.batch_count(), 3);
   EXPECT_EQ(bucket.batch_points(), 8 + 8);
   EXPECT_EQ(bucket.query_count(), 8 + 16);
+}
+
+// Per-thread scratch follows the oracle, not its address: a larger city's
+// oracle constructed in the storage of a destroyed small-city oracle (as the
+// next simulated day's oracle may be) must not reuse scratch sized for its
+// predecessor.
+TEST(OracleEquivalenceEdgeTest, OracleAtAFreedAddressGetsFreshScratch) {
+  auto small = GenerateCity({.width = 4, .height = 4, .seed = 8});
+  auto large = GenerateCity({.width = 16, .height = 16, .seed = 9});
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(large.ok());
+  auto large_ch = BuildCh(large->graph);
+  ChOracle reference(large_ch);
+  std::optional<BucketChOracle> slot;
+  slot.emplace(BuildCh(small->graph));
+  EXPECT_EQ(slot->Cost(0, 15), ChOracle(BuildCh(small->graph)).Cost(0, 15));
+  const BucketChOracle* first = &*slot;
+  slot.reset();
+  slot.emplace(large_ch);
+  ASSERT_EQ(&*slot, first);
+  const NodeId last = large->graph.num_nodes() - 1;
+  EXPECT_EQ(slot->Cost(0, last), reference.Cost(0, last));
+  EXPECT_EQ(slot->Cost(last, 0), reference.Cost(last, 0));
+}
+
+/// One bucket-oracle answer, recorded for checking after the threads join.
+struct Answer {
+  NodeId from;
+  NodeId to;
+  double cost;
+};
+
+/// A seeded random mix of Cost, ManyToOne, OneToMany and ManyToMany calls
+/// on `oracle`, with duplicates, the apex inside its own batch, and
+/// out-of-range ids; returns every pair answered.
+std::vector<Answer> MixedQueries(const City& city, BucketChOracle* oracle,
+                                 uint64_t seed, int rounds) {
+  Rng rng(seed);
+  std::vector<Answer> answers;
+  for (int round = 0; round < rounds; ++round) {
+    const NodeId apex = city.RandomNode(&rng);
+    switch (rng.UniformInt(0, 3)) {
+      case 0: {
+        for (NodeId other : DrawBatch(city, &rng, 8, apex, 0.1)) {
+          answers.push_back({other, apex, oracle->Cost(other, apex)});
+        }
+        break;
+      }
+      case 1: {
+        std::vector<NodeId> sources = DrawBatch(city, &rng, 12, apex, 0.1);
+        std::vector<double> got(sources.size(), -1.0);
+        oracle->ManyToOne(sources, apex, got);
+        for (size_t i = 0; i < sources.size(); ++i) {
+          answers.push_back({sources[i], apex, got[i]});
+        }
+        break;
+      }
+      case 2: {
+        std::vector<NodeId> targets = DrawBatch(city, &rng, 12, apex, 0.1);
+        std::vector<double> got(targets.size(), -1.0);
+        oracle->OneToMany(apex, targets, got);
+        for (size_t j = 0; j < targets.size(); ++j) {
+          answers.push_back({apex, targets[j], got[j]});
+        }
+        break;
+      }
+      default: {
+        std::vector<NodeId> rows = DrawBatch(city, &rng, 6, apex, 0.1);
+        std::vector<NodeId> cols = DrawBatch(city, &rng, 6, apex, 0.1);
+        std::vector<double> got(rows.size() * cols.size(), -1.0);
+        oracle->ManyToMany(rows, cols, got);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          for (size_t j = 0; j < cols.size(); ++j) {
+            answers.push_back({rows[i], cols[j], got[i * cols.size() + j]});
+          }
+        }
+        break;
+      }
+    }
+  }
+  return answers;
+}
+
+/// Runs MixedQueries on `threads` threads sharing `oracle`, released
+/// together so that first builds of the same search space and inserts of
+/// the same memo pair race, then checks every answer bitwise against the
+/// per-query oracle.
+void ExpectConcurrentAnswersMatch(const City& city, BucketChOracle* oracle,
+                                  ChOracle* reference, int threads,
+                                  int rounds) {
+  std::vector<std::vector<Answer>> answers(static_cast<size_t>(threads));
+  std::latch start(threads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      answers[static_cast<size_t>(t)] =
+          MixedQueries(city, oracle, 1000 + static_cast<uint64_t>(t), rounds);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 0; t < threads; ++t) {
+    EXPECT_FALSE(answers[static_cast<size_t>(t)].empty());
+    for (const Answer& a : answers[static_cast<size_t>(t)]) {
+      EXPECT_EQ(a.cost, reference->Cost(a.from, a.to))
+          << "thread " << t << " " << a.from << "->" << a.to;
+    }
+  }
+}
+
+// Lock-free query paths: four threads share one fresh oracle, so the same
+// (node, direction) spaces are built concurrently and the same pairs are
+// inserted into the memo concurrently. Every answer stays bitwise equal to
+// the per-query oracle.
+TEST(OracleEquivalenceConcurrencyTest, FourThreadsShareOneFreshOracle) {
+  auto city = GenerateCity({.width = 18, .height = 18, .jitter = 0.3,
+                            .center_slowdown = 1.8, .seed = 77});
+  ASSERT_TRUE(city.ok());
+  auto ch = BuildCh(city->graph);
+  ChOracle reference(ch);
+  BucketChOracle bucket(ch);
+  ExpectConcurrentAnswersMatch(*city, &bucket, &reference, 4, 150);
+  EXPECT_GT(bucket.cache_size(), 0u);
+  EXPECT_GT(bucket.space_entries(), 0u);
+}
+
+// The bounded paths: a 4-slot memo fills to its 3/4 limit and then stops
+// inserting, and a 16-entry space budget sends every later search space to
+// per-thread overflow scratch. Answers must not notice, serially or on four
+// threads.
+TEST(OracleEquivalenceBudgetTest, FullMemoAndSpaceOverflowStayExact) {
+  auto city = GenerateCity({.width = 18, .height = 18, .jitter = 0.3,
+                            .center_slowdown = 1.8, .seed = 78});
+  ASSERT_TRUE(city.ok());
+  auto ch = BuildCh(city->graph);
+  ChOracle reference(ch);
+
+  BucketChOracle serial(ch, /*cache_capacity=*/4, /*space_budget=*/16);
+  for (const Answer& a : MixedQueries(*city, &serial, 99, 150)) {
+    EXPECT_EQ(a.cost, reference.Cost(a.from, a.to))
+        << a.from << "->" << a.to;
+  }
+  EXPECT_EQ(serial.cache_size(), 3u);
+  EXPECT_GE(serial.space_entries(), 16u);
+  const double built = serial.bucket_build_seconds();
+  for (const Answer& a : MixedQueries(*city, &serial, 100, 50)) {
+    EXPECT_EQ(a.cost, reference.Cost(a.from, a.to))
+        << a.from << "->" << a.to;
+  }
+  EXPECT_EQ(serial.bucket_build_seconds(), built)
+      << "over-budget rebuilds are scratch work, not published builds";
+
+  BucketChOracle shared(ch, /*cache_capacity=*/4, /*space_budget=*/16);
+  ExpectConcurrentAnswersMatch(*city, &shared, &reference, 4, 150);
+  EXPECT_EQ(shared.cache_size(), 3u);
 }
 
 }  // namespace

@@ -59,9 +59,18 @@ TEST(FleetTest, ClosestIdleRespectsCapacity) {
   std::vector<Worker> workers = {{1, 0, 2, false, 0.0},
                                  {2, 2, 4, false, 0.0}};
   Fleet fleet(workers, &g, 4);
-  EXPECT_EQ(fleet.FindClosestIdle(0, 2, &oracle), 1);
-  EXPECT_EQ(fleet.FindClosestIdle(0, 3, &oracle), 2);
-  EXPECT_EQ(fleet.FindClosestIdle(0, 5, &oracle), kInvalidWorker);
+  // The probe returns the winner's travel time to the target: the exact
+  // value a Cost() call gives, which the platform uses as the pickup delay.
+  IdleMatch small = fleet.FindClosestIdle(0, 2, &oracle);
+  EXPECT_EQ(small.worker, 1);
+  EXPECT_EQ(small.cost, 0.0);
+  IdleMatch big = fleet.FindClosestIdle(0, 3, &oracle);
+  EXPECT_EQ(big.worker, 2);
+  EXPECT_EQ(big.cost, 10.0);
+  EXPECT_EQ(big.cost, oracle.Cost(2, 0));
+  IdleMatch none = fleet.FindClosestIdle(0, 5, &oracle);
+  EXPECT_EQ(none.worker, kInvalidWorker);
+  EXPECT_EQ(none.cost, kInfCost);
   auto idle = fleet.IdleWorkerIds();
   EXPECT_EQ(idle, (std::vector<WorkerId>{1, 2}));
 }
