@@ -145,7 +145,7 @@ void Report(const E2eScale& scale, int threads, const SimOptions& sim,
       record, sizeof(record),
       "{\"bench\": \"e2e\", \"scale\": \"%s\", \"dataset\": \"%s\", "
       "\"orders\": %d, \"workers\": %d, \"threads\": %d, "
-      "\"dispatch\": \"%s\", \"shards\": %d, "
+      "\"dispatch\": \"%s\", "
       "\"served\": %lld, \"rejected\": %lld, \"service_rate\": %.6g, "
       "\"metrs_objective\": %.6g, \"unified_cost\": %.6g, "
       "\"running_time_per_order_us\": %.3f, \"algorithm_seconds\": %.3f, "
@@ -156,7 +156,7 @@ void Report(const E2eScale& scale, int threads, const SimOptions& sim,
       "\"planner_plans\": %lld, \"pair_tests\": %lld, "
       "\"oracle_queries\": %lld, \"oracle_batches\": %lld}",
       scale.label, DatasetName(scale.dataset), scale.orders, scale.workers,
-      threads, DispatchName(sim.dispatch), sim.num_shards,
+      threads, DispatchName(sim.dispatch),
       static_cast<long long>(r.report.served),
       static_cast<long long>(r.report.rejected), r.report.service_rate,
       r.report.metrs_objective, r.report.unified_cost,
@@ -180,11 +180,9 @@ int main(int argc, char** argv) {
   int threads = BenchThreads(argc, argv);
   SimOptions sim;
   sim.dispatch = SingleDispatchMode(argc, argv);
-  sim.num_shards = SingleBenchShards(argc, argv);
   BenchJson().path = BenchJsonPath(argc, argv);
   BenchJson().threads = threads;
   BenchJson().dispatch = DispatchName(sim.dispatch);
-  BenchJson().shards = sim.num_shards;
   std::string trace_path = BenchTracePath(argc, argv);
   std::string timeline_path = BenchTimelinePath(argc, argv);
 

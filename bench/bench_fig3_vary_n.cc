@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   bool quick = QuickMode(argc, argv);
   int threads = BenchThreads(argc, argv);
   std::vector<DispatchMode> modes = BenchDispatchModes(argc, argv);
-  std::vector<int> shard_sweep = BenchShardsSweep(argc, argv);
   std::string faults = BenchFaultSpec(argc, argv);
   BenchJson().path = BenchJsonPath(argc, argv);
   BenchJson().threads = threads;
@@ -46,39 +45,25 @@ int main(int argc, char** argv) {
     }
     if (quick) sweep = {sweep[0], sweep[2]};
     for (DispatchMode mode : modes) {
-      for (int shards : shard_sweep) {
-        // The serial engine ignores the shard knob: one row per mode.
-        if (mode == DispatchMode::kSerial && shards != shard_sweep.front()) {
-          continue;
-        }
-        BenchJson().dispatch = DispatchName(mode);
-        BenchJson().shards = shards;
-        SimOptions sim;
-        sim.dispatch = mode;
-        sim.num_shards = shards;
-        std::string figure = "Figure 3";
-        if (modes.size() > 1) {
-          figure += std::string(" [dispatch=") + DispatchName(mode) + "]";
-        }
-        // Keep the shards=1 label identical to pre-sharding baselines so
-        // those records stay comparable field-for-field across PRs.
-        if (mode == DispatchMode::kBatched && shards != 1) {
-          figure += " [shards=" + std::to_string(shards) + "]";
-        }
-        if (!faults.empty()) figure += " [faults]";
-        // GDP/GAS have their own loops and ignore the fault knob entirely;
-        // a faulted sweep would just re-record their faultless numbers.
-        bool with_baselines = faults.empty() && mode == modes.front() &&
-                              shards == shard_sweep.front();
-        RunSweep<int>(
-            figure, dataset, "n", sweep,
-            [&base](int n) {
-              WorkloadOptions options = base;
-              options.num_orders = n;
-              return options;
-            },
-            AlgorithmFamily(model.get(), sim, with_baselines));
+      BenchJson().dispatch = DispatchName(mode);
+      SimOptions sim;
+      sim.dispatch = mode;
+      std::string figure = "Figure 3";
+      if (modes.size() > 1) {
+        figure += std::string(" [dispatch=") + DispatchName(mode) + "]";
       }
+      if (!faults.empty()) figure += " [faults]";
+      // GDP/GAS have their own loops and ignore the fault knob entirely;
+      // a faulted sweep would just re-record their faultless numbers.
+      bool with_baselines = faults.empty() && mode == modes.front();
+      RunSweep<int>(
+          figure, dataset, "n", sweep,
+          [&base](int n) {
+            WorkloadOptions options = base;
+            options.num_orders = n;
+            return options;
+          },
+          AlgorithmFamily(model.get(), sim, with_baselines));
     }
   }
   return 0;

@@ -15,11 +15,9 @@ int main(int argc, char** argv) {
   int threads = BenchThreads(argc, argv);
   SimOptions sim;
   sim.dispatch = SingleDispatchMode(argc, argv);
-  sim.num_shards = SingleBenchShards(argc, argv);
   BenchJson().path = BenchJsonPath(argc, argv);
   BenchJson().threads = threads;
   BenchJson().dispatch = DispatchName(sim.dispatch);
-  BenchJson().shards = sim.num_shards;
 
   for (DatasetKind dataset : BenchDatasets(quick)) {
     WorkloadOptions base = BaseWorkload(dataset);

@@ -78,37 +78,6 @@ inline std::vector<DispatchMode> BenchDispatchModes(int argc, char** argv) {
   std::exit(2);
 }
 
-/// Shard counts for the batched engine's region-sharded conflict
-/// resolution: `--shards N[,N...]` or WATTER_BENCH_SHARDS, default {1} (one
-/// global scan).
-/// Metrics are shard-count-independent (sim_parallel_determinism_test), so
-/// extra shard values add rows that differ only in running time and the
-/// border-work counters; the serial engine ignores the knob.
-inline std::vector<int> BenchShardsSweep(int argc, char** argv) {
-  const char* value = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0) value = argv[i + 1];
-  }
-  if (value == nullptr) value = std::getenv("WATTER_BENCH_SHARDS");
-  if (value == nullptr) return {1};
-  std::vector<int> shards;
-  for (const char* p = value; *p != '\0';) {
-    char* end = nullptr;
-    long parsed = std::strtol(p, &end, 10);
-    if (end == p || parsed < 1) {
-      std::fprintf(stderr, "bad --shards value: %s\n", value);
-      std::exit(2);
-    }
-    shards.push_back(static_cast<int>(parsed));
-    p = *end == ',' ? end + 1 : end;
-  }
-  if (shards.empty()) {
-    std::fprintf(stderr, "bad --shards value: %s\n", value);
-    std::exit(2);
-  }
-  return shards;
-}
-
 /// Deterministic fault-injection spec for the simulated runs: `--faults
 /// SPEC` or WATTER_BENCH_FAULTS (docs/ROBUSTNESS.md grammar). Empty (the
 /// default) keeps fault injection off — the sweep is then bitwise identical
@@ -129,19 +98,6 @@ inline std::string BenchFaultSpec(int argc, char** argv) {
     std::exit(2);
   }
   return value;
-}
-
-/// For drivers that take one shard count per invocation: like
-/// BenchShardsSweep but rejects a comma list loudly.
-inline int SingleBenchShards(int argc, char** argv) {
-  std::vector<int> shards = BenchShardsSweep(argc, argv);
-  if (shards.size() != 1) {
-    std::fprintf(stderr,
-                 "a --shards sweep is only supported by bench_fig3_vary_n; "
-                 "pick one value\n");
-    std::exit(2);
-  }
-  return shards.front();
 }
 
 /// For drivers that run one engine per invocation: like BenchDispatchModes
@@ -166,7 +122,6 @@ struct JsonSink {
   std::string path;
   int threads = 1;
   const char* dispatch = "batched";
-  int shards = 1;
   std::string faults;  ///< Fault spec of the sweep ("" = faults off).
   std::vector<std::string> records;
 
@@ -361,8 +316,7 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
             record, sizeof(record),
             "{\"figure\": \"%s\", \"dataset\": \"%s\", \"sweep\": \"%s\", "
             "\"value\": %s, \"algorithm\": \"%s\", \"threads\": %d, "
-            "\"dispatch\": \"%s\", \"shards\": %d, "
-            "\"faults\": \"%s\", "
+            "\"dispatch\": \"%s\", \"faults\": \"%s\", "
             "\"served\": %lld, \"rejected\": %lld, "
             "\"metrs_objective\": %.6g, \"unified_cost\": %.6g, "
             "\"service_rate\": %.6g, \"running_time_per_order_us\": %.3f, "
@@ -381,7 +335,7 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
             "\"degraded_rounds\": %lld, \"work_units\": %lld}",
             figure.c_str(), DatasetName(dataset), sweep_label.c_str(),
             std::to_string(value).c_str(), algorithm.name.c_str(),
-            BenchJson().threads, BenchJson().dispatch, BenchJson().shards,
+            BenchJson().threads, BenchJson().dispatch,
             BenchJson().faults.c_str(),
             static_cast<long long>(r.served),
             static_cast<long long>(r.rejected), r.metrs_objective,

@@ -127,8 +127,6 @@ std::string MetricsReportJson(const MetricsReport& report) {
   i64("committed", report.dispatch.committed);
   i64("worker_conflicts", report.dispatch.worker_conflicts);
   i64("order_conflicts", report.dispatch.order_conflicts);
-  i64("border_offers", report.dispatch.border_offers);
-  i64("border_affected", report.dispatch.border_affected);
   i64("cancelled", report.cancelled);
   i64("failed_services", report.failed_services);
   i64("fault_dropouts", report.faults.dropouts);
@@ -140,8 +138,7 @@ std::string MetricsReportJson(const MetricsReport& report) {
   i64("fault_aborted_commits", report.faults.aborted_commits);
   i64("shed_orders", report.faults.shed_orders);
   i64("degraded_rounds", report.faults.degraded_rounds);
-  i64("work_units", report.faults.work_units);
-  i64("watchdog_trips", report.faults.watchdog_trips, "}");
+  i64("work_units", report.faults.work_units, "}");
   return os.str();
 }
 

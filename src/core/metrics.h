@@ -64,28 +64,22 @@ struct GeoStats {
 };
 
 /// Batched-dispatch work counters of one run (zero for the serial engine
-/// and the baselines). The offer and outcome totals are deterministic —
-/// identical across thread AND shard counts, because the sharded
-/// reconciliation is bitwise-equal to the global commit scan
-/// (docs/DISPATCH.md). The border splits measure the shard layout itself
-/// and legitimately vary with `--shards` (at 1 shard everything is
-/// interior); determinism comparisons across shard counts exclude them.
+/// and the baselines). Deterministic — identical across thread counts,
+/// because the conflict scan is a pure function of the round's offer set
+/// (docs/DISPATCH.md).
 struct DispatchStats {
   int64_t offers = 0;             ///< Bids that reached conflict resolution.
   int64_t committed = 0;          ///< Offers that dispatched.
   int64_t worker_conflicts = 0;   ///< Lost the worker to a cheaper offer.
   int64_t order_conflicts = 0;    ///< Lost a member to a cheaper offer.
-  int64_t border_offers = 0;      ///< Offers straddling a shard boundary.
-  int64_t border_affected = 0;    ///< Interior offers pulled into the
-                                  ///< reconciliation pass by a border link.
 };
 
 /// Fault-injection and overload-degradation counters of one run (zero when
 /// `--faults` and the round work budget are off; docs/ROBUSTNESS.md). All
 /// deterministic: faults fire from a precomputed schedule and shedding is
-/// decided from frozen state, so these diff bitwise across thread and shard
-/// counts like PoolStats — except watchdog_trips, which is wall-clock
-/// driven (CLI opt-in) and excluded from determinism comparisons.
+/// decided from frozen state, so these diff bitwise across thread counts
+/// like PoolStats. Failed services are not repeated here: they are
+/// MetricsReport::failed_services.
 struct FaultStats {
   int64_t dropouts = 0;           ///< Workers taken offline at round starts.
   int64_t midroute_dropouts = 0;  ///< Of those, mid-route with riders aboard.
@@ -93,12 +87,10 @@ struct FaultStats {
   int64_t returns = 0;            ///< Workers brought back online.
   int64_t brownout_rounds = 0;    ///< Rounds run under a degraded oracle.
   int64_t recovered_orders = 0;   ///< Aboard orders re-pooled after a dropout.
-  int64_t failed_services = 0;    ///< Aboard orders past deadline at dropout.
   int64_t aborted_commits = 0;    ///< Winning offers undone by a lost worker.
   int64_t shed_orders = 0;        ///< Propose work deferred by the budget.
   int64_t degraded_rounds = 0;    ///< Rounds that shed at least one order.
   int64_t work_units = 0;         ///< Propose work units spent (budgeted runs).
-  int64_t watchdog_trips = 0;     ///< Wall-clock watchdog activations.
 };
 
 /// Aggregated results of one simulation run.

@@ -31,35 +31,6 @@ int GridIndex::CellOf(Point p) const {
   return RowOf(p.y) * cells_per_side_ + ColOf(p.x);
 }
 
-void GridIndex::RegionShape(int num_regions, int* rows, int* cols) {
-  num_regions = std::max(1, num_regions);
-  int r = 1;
-  for (int d = 1; d * d <= num_regions; ++d) {
-    if (num_regions % d == 0) r = d;
-  }
-  *rows = r;
-  *cols = num_regions / r;
-}
-
-int GridIndex::RegionOfCell(int cell, int num_regions) const {
-  if (num_regions <= 1) return 0;
-  int rows = 1;
-  int cols = 1;
-  RegionShape(num_regions, &rows, &cols);
-  int cell_row = cell / cells_per_side_;
-  int cell_col = cell % cells_per_side_;
-  // Monotone map of [0, cells_per_side) onto [0, rows): blocks are
-  // contiguous and as even as integer division allows; with more block rows
-  // than cell rows some regions are simply empty, which is harmless.
-  int region_row = std::min(rows - 1, cell_row * rows / cells_per_side_);
-  int region_col = std::min(cols - 1, cell_col * cols / cells_per_side_);
-  return region_row * cols + region_col;
-}
-
-int GridIndex::RegionOf(Point p, int num_regions) const {
-  return RegionOfCell(CellOf(p), num_regions);
-}
-
 void GridIndex::Insert(int64_t id, Point p) {
   auto it = points_.find(id);
   if (it != points_.end()) {

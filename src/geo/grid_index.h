@@ -45,24 +45,6 @@ class GridIndex {
   /// Flat cell index (row-major) containing `p`.
   int CellOf(Point p) const;
 
-  /// Geographic region (shard) of `p` under a deterministic partition of
-  /// the cell grid into `num_regions` contiguous rectangular blocks — the
-  /// partitioner of the region-sharded dispatch engine (docs/DISPATCH.md).
-  /// `num_regions` is factored into rows x cols as near-square as possible
-  /// (RegionShape); block boundaries depend only on the grid geometry and
-  /// `num_regions`, never on the stored elements, so every index sharing
-  /// this geometry (demand, supply, idle workers) agrees on the partition.
-  /// Returns 0 for `num_regions <= 1`.
-  int RegionOf(Point p, int num_regions) const;
-
-  /// Region of a flat cell index (row-major), same partition as RegionOf.
-  int RegionOfCell(int cell, int num_regions) const;
-
-  /// Splits `num_regions` into `rows * cols` blocks with `rows <= cols`,
-  /// rows the largest divisor not exceeding sqrt(num_regions) (16 -> 4x4,
-  /// 2 -> 1x2, primes -> 1xN stripes). Pure and deterministic.
-  static void RegionShape(int num_regions, int* rows, int* cols);
-
   /// Location of a stored element; kInvalid point if absent.
   Point PointOf(int64_t id) const;
 

@@ -23,7 +23,7 @@ namespace obs {
 
 /// Everything recorded about one check round. Wall-clock fields (`*_s`) are
 /// diagnostic only; every other field is covered by the determinism
-/// contract (bitwise identical across threads/shards/backends/tracing).
+/// contract (bitwise identical across threads/backends/tracing).
 struct RoundSample {
   int64_t round = 0;
   double now = 0.0;  ///< Simulation time of the check (seconds).
@@ -50,7 +50,8 @@ struct RoundSample {
   // Robustness columns (docs/ROBUSTNESS.md) — all zero when fault injection
   // and the work budget are off. fault_events counts the dropout/return
   // events applied this round; degraded is 1 while a brownout window
-  // is open; the rest are per-round deltas of the FaultStats counters.
+  // is open; failed is the per-round delta of the failed-service count;
+  // the rest are per-round deltas of the FaultStats counters.
   int64_t fault_events = 0;
   int64_t recovered = 0;   ///< Aboard orders re-pooled after dropouts.
   int64_t failed = 0;      ///< Aboard orders failed terminally.

@@ -6,10 +6,10 @@
 // FaultInjector expands the spec into a concrete event schedule up front,
 // as a pure function of (spec, fleet size, arrival window) driven by the
 // spec's own seeded RNG stream — never the platform's — so the same spec
-// yields the same schedule on every engine, thread count, and shard
-// count. The platform consumes events serially at round boundaries
-// (TakeDue) and between conflict resolution and commit (TakeLateDue),
-// which keeps faulted runs bitwise deterministic.
+// yields the same schedule on every engine and thread count. The platform
+// consumes events serially at round boundaries (TakeDue) and between
+// conflict resolution and commit (TakeLateDue), which keeps faulted runs
+// bitwise deterministic.
 #ifndef WATTER_SIM_FAULT_INJECTOR_H_
 #define WATTER_SIM_FAULT_INJECTOR_H_
 
@@ -98,8 +98,8 @@ struct FaultEvent {
 /// Expands a FaultSpec into a concrete, time-sorted event schedule and
 /// hands events to the platform as simulation time passes. The schedule
 /// is computed entirely in the constructor from the spec's private RNG
-/// stream, so it is identical across engines, thread counts, and shard
-/// counts by construction.
+/// stream, so it is identical across engines and thread counts by
+/// construction.
 class FaultInjector {
  public:
   /// `num_workers` bounds the worker ids drawn for dropouts; event times

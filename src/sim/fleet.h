@@ -117,9 +117,6 @@ class Fleet {
   /// Ids of all currently idle workers, ascending.
   std::vector<WorkerId> IdleWorkerIds() const;
 
-  /// The spatial grid geometry (shared with demand features).
-  const GridIndex& idle_index() const { return idle_index_; }
-
  private:
   std::vector<Worker> workers_;  // Indexed by id - 1.
   const Graph* graph_;

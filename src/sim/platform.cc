@@ -26,12 +26,6 @@ int ResolveThreads(const SimOptions& options, const Scenario& scenario) {
   return threads <= 0 ? ThreadPool::DefaultThreads() : threads;
 }
 
-int ResolveShards(const SimOptions& options, const Scenario& scenario) {
-  int shards = options.num_shards != 0 ? options.num_shards
-                                       : scenario.options.num_shards;
-  return std::max(1, shards);
-}
-
 FaultSpec ResolveFaultSpec(const SimOptions& options,
                            const Scenario& scenario) {
   const std::string& spec = !options.faults.empty()
@@ -54,7 +48,7 @@ int64_t ResolveBudget(const SimOptions& options, const Scenario& scenario) {
 
 // Fault event times are drawn over the arrival window, derived from
 // workload options only (never run state), so the schedule is
-// engine/thread/shard-invariant. Workloads sample release times as
+// engine- and thread-invariant. Workloads sample release times as
 // time-of-day, so the window starts at `start_hour`, not zero; the window
 // length is the arrival duration, so every injected event lands while
 // orders are still arriving (the pool is guaranteed non-empty, so check
@@ -74,10 +68,6 @@ double FaultHorizon(const Scenario& scenario) {
 // oracle query). Calibration matters less than determinism: any fixed
 // constant yields a deterministic shed set.
 constexpr int64_t kPlanWorkUnits = 8;
-
-// Floor the watchdog can clamp the effective budget to — rounds always
-// retain enough budget to make progress on the most urgent orders.
-constexpr int64_t kMinWatchdogBudget = 64;
 
 // Accumulates the enclosing scope's wall-clock into `*slot` when armed;
 // disarmed it reads no clock at all (the timeline contract: sampling off is
@@ -109,7 +99,6 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
     : scenario_(scenario),
       provider_(provider),
       options_(options),
-      num_shards_(ResolveShards(options, *scenario)),
       fault_spec_(ResolveFaultSpec(options, *scenario)),
       injector_(fault_spec_.any()
                     ? std::make_unique<FaultInjector>(
@@ -139,8 +128,6 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
   pool_.set_executor(&executor_);
   track_trips_ = injector_ != nullptr && fault_spec_.has_dropouts();
   work_budget_ = ResolveBudget(options_, *scenario);
-  effective_budget_ = work_budget_;
-  budgeting_ = work_budget_ > 0 || options_.watchdog_ms > 0.0;
   // Observability knobs: SimOptions wins when set, else the scenario's
   // workload options (the CLI/bench path).
   trace_path_ = !options_.trace_path.empty() ? options_.trace_path
@@ -152,13 +139,6 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
     timeline_ = std::make_unique<obs::TimelineSampler>();
     sampling_ = true;
   }
-}
-
-int WatterPlatform::ShardOfNode(NodeId node) const {
-  // The idle index carries the feature-grid geometry; all three platform
-  // grids share it, so any of them defines the same region partition.
-  return fleet_.idle_index().RegionOf(
-      scenario_->city->graph.node_point(node), num_shards_);
 }
 
 void WatterPlatform::Observe(const Order& order, Time now, int action,
@@ -207,7 +187,7 @@ bool WatterPlatform::ExpireIfDue(const Order& order, Time now) {
   // Impatience: past the watching window the rider may cancel at any check
   // (hazard model; counted as an expiration like the paper). Both engines
   // call this serially in ascending id order, so the RNG draw sequence is
-  // thread- and shard-invariant.
+  // thread-invariant.
   if (options_.cancellation_hazard > 0.0 && now > order.WaitDeadline() &&
       rng_.Bernoulli(1.0 - std::exp(-options_.cancellation_hazard *
                                     options_.check_period))) {
@@ -241,10 +221,6 @@ void WatterPlatform::RunCheck(Time now) {
   if (sampling_) {
     round_sample_ = obs::RoundSample{};
     round_start = std::chrono::steady_clock::now();
-  }
-  std::chrono::steady_clock::time_point watchdog_start;
-  if (options_.watchdog_ms > 0.0) {
-    watchdog_start = std::chrono::steady_clock::now();
   }
 
   // Fault events due at this round boundary fire first, serially, so the
@@ -287,13 +263,13 @@ void WatterPlatform::RunCheck(Time now) {
     pool_.RefreshBestGroups(ids, now);
   }
 
-  // Overload-degradation pre-pass: when budgeting is armed, only the most
+  // Overload-degradation pre-pass: under a work budget, only the most
   // urgent prefix of the pool bids this round; the rest is shed to the next
   // round. Computed serially from frozen post-refresh state, so the shed
   // set is a pure function of the round state (never of wall-clock).
   std::vector<OrderId> budgeted;
   const std::vector<OrderId>* propose_ids = &ids;
-  if (budgeting_) {
+  if (work_budget_ > 0) {
     budgeted = BudgetedIds(ids, now);
     propose_ids = &budgeted;
   }
@@ -308,11 +284,6 @@ void WatterPlatform::RunCheck(Time now) {
     ApplyLateFaults(now);
   }
 
-  if (options_.watchdog_ms > 0.0) {
-    AdjustWatchdog(std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - watchdog_start)
-                       .count());
-  }
   if (sampling_) {
     FinishRoundSample(now, std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - round_start)
@@ -562,14 +533,10 @@ void WatterPlatform::RunDecisionLoopBatched(
     });
   }
 
-  // Drop the non-bids, then resolve conflicts in the sorted-offers total
-  // order. With N > 1 shards, interior offers resolve per region in
-  // parallel and border components in one serial reconciliation scan (home
-  // shard = worker's region, member shards = pickup regions); at N = 1 this
-  // is the global greedy scan. Either way the outcomes equal ResolveOffers,
-  // a pure function of the offer set — never of the thread or shard count.
-  // Both callbacks read only frozen round state.
-  ShardedResolution resolution;
+  // Drop the non-bids, then resolve conflicts in one greedy scan of the
+  // sorted-offers total order. The outcomes are a pure function of the
+  // offer set, never of the thread count.
+  std::vector<OfferOutcome> outcomes;
   {
     WATTER_TRACE_SPAN("round.resolve");
     PhaseTimer timer(sampling_, &round_sample_.resolve_s);
@@ -578,19 +545,9 @@ void WatterPlatform::RunDecisionLoopBatched(
                                   return offer.worker == kInvalidWorker;
                                 }),
                  offers.end());
-    OfferShardMap shard_map;
-    shard_map.num_shards = num_shards_;
-    shard_map.worker_shard = [this](WorkerId worker) {
-      return ShardOfNode(fleet_.worker(worker).location);
-    };
-    shard_map.order_shard = [this](OrderId member) {
-      return ShardOfNode(pool_.GetOrder(member)->pickup);
-    };
-    resolution = ResolveOffersSharded(&offers, shard_map, &executor_);
+    outcomes = ResolveOffers(&offers);
   }
   dispatch_stats_.offers += static_cast<int64_t>(offers.size());
-  dispatch_stats_.border_offers += resolution.border_offers;
-  dispatch_stats_.border_affected += resolution.border_affected;
 
   // Late dropouts land on the resolve/commit seam: resolution has already
   // picked winners against the pre-fault fleet, so a winner whose worker
@@ -602,7 +559,7 @@ void WatterPlatform::RunDecisionLoopBatched(
     WATTER_TRACE_SPAN("round.commit");
     PhaseTimer timer(sampling_, &round_sample_.commit_s);
     for (size_t i = 0; i < offers.size(); ++i) {
-      switch (resolution.outcomes[i]) {
+      switch (outcomes[i]) {
         case OfferOutcome::kCommitted:
           if (CommitOffer(offers[i], now).ok()) {
             ++dispatch_stats_.committed;
@@ -726,7 +683,6 @@ void WatterPlatform::RecoverTrip(WorkerId id, Time now) {
       ++fault_stats_.recovered_orders;
     } else {
       metrics_.RecordFailedService(member.order);
-      ++fault_stats_.failed_services;
       Observe(member.order, now, /*action=*/0, /*expired=*/true, 0.0);
     }
   }
@@ -772,7 +728,6 @@ std::vector<OrderId> WatterPlatform::BudgetedIds(
   }
   std::sort(urgency.begin(), urgency.end());
 
-  const int64_t limit = effective_budget_;
   int64_t spent = 0;
   int64_t shed = 0;
   std::vector<OrderId> eligible;
@@ -782,14 +737,13 @@ std::vector<OrderId> WatterPlatform::BudgetedIds(
     int64_t units = EstimateWorkUnits(id, now);
     // Always fund at least one order per round — a budget below the
     // cheapest single bid must still make progress.
-    if (limit > 0 && spent + units > limit && !eligible.empty()) {
+    if (spent + units > work_budget_ && !eligible.empty()) {
       shed = static_cast<int64_t>(urgency.size() - i);
       break;
     }
     spent += units;
     eligible.push_back(id);
   }
-  round_units_ = spent;
   fault_stats_.work_units += spent;
   if (shed > 0) {
     fault_stats_.shed_orders += shed;
@@ -799,29 +753,6 @@ std::vector<OrderId> WatterPlatform::BudgetedIds(
   // the batched propose (conflict resolution re-sorts offers anyway).
   std::sort(eligible.begin(), eligible.end());
   return eligible;
-}
-
-void WatterPlatform::AdjustWatchdog(double round_ms) {
-  if (round_ms > options_.watchdog_ms) {
-    ++fault_stats_.watchdog_trips;
-    // Multiplicative decrease. When currently unlimited, start from what
-    // the overrun round actually spent (or a small floor if unknown).
-    int64_t base = effective_budget_ > 0
-                       ? effective_budget_
-                       : std::max(round_units_, int64_t{2} * kMinWatchdogBudget);
-    effective_budget_ = std::max(kMinWatchdogBudget, base / 2);
-  } else if (effective_budget_ > 0) {
-    // Additive-ish recovery: ~25% growth per compliant round, back toward
-    // the configured budget — or all the way to unlimited when none is set.
-    int64_t grown = effective_budget_ + effective_budget_ / 4 + 1;
-    if (work_budget_ > 0) {
-      effective_budget_ = std::min(grown, work_budget_);
-    } else if (grown > (int64_t{1} << 40)) {
-      effective_budget_ = 0;  // Fully recovered: unlimited again.
-    } else {
-      effective_budget_ = grown;
-    }
-  }
 }
 
 void WatterPlatform::FinishRoundSample(Time now, double total_seconds) {
@@ -869,7 +800,7 @@ void WatterPlatform::FinishRoundSample(Time now, double total_seconds) {
                                   fault_stats_.returns,
                               base.fault_events);
   sample.recovered = delta(fault_stats_.recovered_orders, base.recovered);
-  sample.failed = delta(fault_stats_.failed_services, base.failed);
+  sample.failed = delta(metrics_.failed_count(), base.failed);
   sample.shed = delta(fault_stats_.shed_orders, base.shed);
   sample.degraded = brownout_depth_ > 0 ? 1 : 0;
   sample.work_units = delta(fault_stats_.work_units, base.work_units);
@@ -955,12 +886,11 @@ MetricsReport WatterPlatform::Run() {
   report.geo.batches = oracle.batch_count();
   report.geo.batch_points = oracle.batch_points();
   report.geo.bucket_build_seconds = oracle.bucket_build_seconds();
-  // Batched-engine counters (zero under kSerial). Offer/outcome totals are
-  // deterministic across threads AND shards; the border splits describe the
-  // shard layout itself (metrics.h).
+  // Batched-engine counters (zero under kSerial), deterministic across
+  // thread counts (metrics.h).
   report.dispatch = dispatch_stats_;
   // Fault/degradation counters (all zero when faults and the budget are
-  // off). Deterministic except watchdog_trips (metrics.h).
+  // off), all deterministic (metrics.h).
   report.faults = fault_stats_;
 
   // Export the observability artifacts last, after the pool's final

@@ -86,14 +86,6 @@ struct SimOptions {
   /// contention and are within noise otherwise. `kSerial` keeps the
   /// paper-faithful sequential loop (CLI `--dispatch=serial`).
   DispatchMode dispatch = DispatchMode::kBatched;
-  /// Geographic shards for the batched engine's conflict resolution (CLI
-  /// `--shards`). 0 = inherit the scenario's WorkloadOptions::num_shards.
-  /// The feature grid is partitioned into N rectangular regions
-  /// (GridIndex::RegionOf); interior offers resolve per shard in parallel
-  /// and border components are reconciled serially (docs/DISPATCH.md).
-  /// N = 1 is the degenerate case: one global scan. Metrics and served sets
-  /// are bitwise identical for any shard count; ignored by kSerial.
-  int num_shards = 0;
   /// Chrome trace-event JSON output path. Empty = inherit the scenario's
   /// WorkloadOptions::trace_path (the common case; this override exists for
   /// embedders that run several platforms over one scenario). Tracing obeys
@@ -106,7 +98,7 @@ struct SimOptions {
   /// Deterministic fault-injection spec (docs/ROBUSTNESS.md grammar; CLI
   /// `--faults`). Empty = inherit WorkloadOptions::faults. Faults-off runs
   /// are byte-identical to a build without the robustness subsystem; a
-  /// fixed spec is bitwise deterministic across threads and shards.
+  /// fixed spec is bitwise deterministic across thread counts.
   std::string faults;
   /// Per-round propose work budget, in deterministic work units (candidate
   /// probes + planner plans — never wall-clock). When a round's pooled
@@ -115,14 +107,6 @@ struct SimOptions {
   /// (docs/ROBUSTNESS.md). 0 = inherit WorkloadOptions::round_work_budget;
   /// negative forces unlimited even when the workload sets a budget.
   int64_t round_work_budget = 0;
-  /// Opt-in wall-clock watchdog (CLI `--watchdog-ms`): when a check round
-  /// takes longer than this many milliseconds, the effective work budget
-  /// is halved (floored at a small minimum); compliant rounds grow it back
-  /// ~25% per round toward the configured budget (or unlimited). Inherently
-  /// wall-clock driven, so runs with a watchdog are excluded from the
-  /// bitwise-determinism contract — it exists for live CLI deployments,
-  /// not experiments. 0 disables.
-  double watchdog_ms = 0.0;
 };
 
 /// One observed per-order decision; the RL trainer consumes these to build
@@ -197,10 +181,9 @@ class WatterPlatform {
                              const std::vector<OrderId>& propose_ids, Time now,
                              const PoolContext& context);
   /// The batched engine (DispatchMode::kBatched, docs/DISPATCH.md): serial
-  /// threshold prologue, parallel offer propose, sorted-offers conflict
-  /// resolution sharded by region (one global scan at `num_shards_` = 1),
-  /// late faults, serial commit, serial post-sweep. Only `propose_ids`
-  /// bid; the sweep walks all of `ids`.
+  /// threshold prologue, parallel offer propose, one sorted-offers conflict
+  /// scan, late faults, serial commit, serial post-sweep. Only
+  /// `propose_ids` bid; the sweep walks all of `ids`.
   void RunDecisionLoopBatched(const std::vector<OrderId>& ids,
                               const std::vector<OrderId>& propose_ids,
                               Time now, const PoolContext& context);
@@ -227,8 +210,6 @@ class WatterPlatform {
   /// late-dropout fault took it offline between resolution and commit);
   /// the offer is then abandoned and its members stay pooled for the sweep.
   Status CommitOffer(const DispatchOffer& offer, Time now);
-  /// Grid region of `node` under the `num_shards_` partition.
-  int ShardOfNode(NodeId node) const;
   /// The expiry step both engines run for an order that did not dispatch
   /// this round: hazard cancellation (one RNG draw once its watching
   /// window has elapsed), then rejection once no feasible service remains.
@@ -261,11 +242,8 @@ class WatterPlatform {
   /// The budget pre-pass: charges estimated work units in latest-dispatch-
   /// then-id order and returns the eligible prefix (ascending id). Sheds
   /// the rest to the next round, updating the shed/degraded counters. Only
-  /// called when budgeting is on.
+  /// called when a work budget is set.
   std::vector<OrderId> BudgetedIds(const std::vector<OrderId>& ids, Time now);
-  /// Wall-clock watchdog (CLI opt-in): halve the effective budget after an
-  /// overrun round, recover it gradually on compliant rounds.
-  void AdjustWatchdog(double round_ms);
   void Observe(const Order& order, Time now, int action, bool expired,
                double detour);
   /// Closes the current RoundSample: end-of-round state, dispatch/counter
@@ -276,8 +254,6 @@ class WatterPlatform {
   Scenario* scenario_;
   ThresholdProvider* provider_;
   SimOptions options_;
-  // Resolved shard count (>= 1) for the batched conflict resolution.
-  int num_shards_ = 1;
   // Fault-injection state (docs/ROBUSTNESS.md), declared before the pool:
   // oracle_ is the effective cost source every platform query (pool
   // planning included) goes through — the degraded wrapper whenever
@@ -303,14 +279,8 @@ class WatterPlatform {
   std::unordered_map<WorkerId, ActiveTrip> active_trips_;
   bool track_trips_ = false;
   int brownout_depth_ = 0;  // Open brownout windows right now.
-  // Overload-degradation state: budgeting_ arms the budget pre-pass
-  // (configured budget and/or watchdog); effective_budget_ is what the
-  // current round enforces (0 = unlimited) and differs from work_budget_
-  // only while the watchdog has it clamped.
-  bool budgeting_ = false;
+  // Resolved per-round work budget (0 = unlimited: no budget pre-pass).
   int64_t work_budget_ = 0;
-  int64_t effective_budget_ = 0;
-  int64_t round_units_ = 0;  // Work units charged in the last budget pass.
   // Observability (all inert unless the run resolved a trace/timeline
   // path; see docs/OBSERVABILITY.md). The sampler is allocated up front so
   // `sampling_` is one bool test on the round path; `round_sample_` is the

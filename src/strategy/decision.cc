@@ -2,31 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 
 namespace watter {
-
-bool DecideGroupDispatch(const BestGroup& group,
-                         const std::vector<const Order*>& members, Time now,
-                         const ExtraTimeWeights& weights,
-                         ThresholdProvider* provider,
-                         const PoolContext& context) {
-  DecisionInputs inputs;
-  inputs.now = now;
-  inputs.average_extra_time = group.AverageExtraTime(now, weights);
-  inputs.earliest_wait_deadline = std::numeric_limits<double>::infinity();
-  double threshold_sum = 0.0;
-  for (const Order* order : members) {
-    inputs.earliest_wait_deadline =
-        std::min(inputs.earliest_wait_deadline, order->WaitDeadline());
-    threshold_sum += provider->ThresholdFor(*order, now, context);
-  }
-  inputs.average_threshold =
-      threshold_sum / static_cast<double>(members.size());
-  return MakeDispatchDecision(inputs);
-}
 
 bool DecideGroupDispatchPrecomputed(const BestGroup& group,
                                     const std::vector<const Order*>& members,
@@ -48,26 +26,33 @@ bool DecideGroupDispatchPrecomputed(const BestGroup& group,
   return MakeDispatchDecision(inputs);
 }
 
+bool DecideGroupDispatch(const BestGroup& group,
+                         const std::vector<const Order*>& members, Time now,
+                         const ExtraTimeWeights& weights,
+                         ThresholdProvider* provider,
+                         const PoolContext& context) {
+  std::vector<double> thresholds;
+  thresholds.reserve(members.size());
+  for (const Order* order : members) {
+    thresholds.push_back(provider->ThresholdFor(*order, now, context));
+  }
+  return DecideGroupDispatchPrecomputed(group, members, thresholds, now,
+                                        weights);
+}
+
 bool OfferBefore(const DispatchOffer& a, const DispatchOffer& b) {
   if (a.cost != b.cost) return a.cost < b.cost;
   if (a.anchor != b.anchor) return a.anchor < b.anchor;
   return a.worker < b.worker;
 }
 
-namespace {
-
-// The greedy accept scan over a subsequence of sorted offers, writing one
-// outcome slot per visited index. Shared by the global scan (all indices)
-// and the sharded per-shard/reconciliation scans (component-closed index
-// subsets) — running the same loop is what makes the sharded outcomes
-// bitwise-equal to the global ones.
-void GreedyResolve(const std::vector<DispatchOffer>& offers,
-                   const std::vector<size_t>& indices,
-                   std::vector<OfferOutcome>* outcomes) {
+std::vector<OfferOutcome> ResolveOffers(std::vector<DispatchOffer>* offers) {
+  std::sort(offers->begin(), offers->end(), OfferBefore);
+  std::vector<OfferOutcome> outcomes(offers->size());
   std::unordered_set<WorkerId> claimed_workers;
   std::unordered_set<OrderId> dispatched_orders;
-  for (size_t index : indices) {
-    const DispatchOffer& offer = offers[index];
+  for (size_t i = 0; i < offers->size(); ++i) {
+    const DispatchOffer& offer = (*offers)[i];
     // Order overlap beats worker contention in the classification: an offer
     // whose riders already left the pool has nothing to dispatch, whoever
     // holds the worker.
@@ -79,147 +64,18 @@ void GreedyResolve(const std::vector<DispatchOffer>& offers,
       }
     }
     if (member_gone) {
-      (*outcomes)[index] = OfferOutcome::kOrderConflict;
+      outcomes[i] = OfferOutcome::kOrderConflict;
       continue;
     }
     if (claimed_workers.count(offer.worker) > 0) {
-      (*outcomes)[index] = OfferOutcome::kWorkerConflict;
+      outcomes[i] = OfferOutcome::kWorkerConflict;
       continue;
     }
     claimed_workers.insert(offer.worker);
     dispatched_orders.insert(offer.members.begin(), offer.members.end());
-    (*outcomes)[index] = OfferOutcome::kCommitted;
+    outcomes[i] = OfferOutcome::kCommitted;
   }
-}
-
-// Union-find over sorted-offer indices (path halving; union by smaller
-// root). Component membership is a pure function of the offer set, so the
-// sharded partition below never depends on iteration internals.
-size_t Find(std::vector<size_t>* parent, size_t i) {
-  while ((*parent)[i] != i) {
-    (*parent)[i] = (*parent)[(*parent)[i]];
-    i = (*parent)[i];
-  }
-  return i;
-}
-
-void Union(std::vector<size_t>* parent, size_t a, size_t b) {
-  a = Find(parent, a);
-  b = Find(parent, b);
-  if (a == b) return;
-  if (b < a) std::swap(a, b);
-  (*parent)[b] = a;
-}
-
-}  // namespace
-
-std::vector<OfferOutcome> ResolveOffers(std::vector<DispatchOffer>* offers) {
-  std::sort(offers->begin(), offers->end(), OfferBefore);
-  std::vector<size_t> all(offers->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  std::vector<OfferOutcome> outcomes(offers->size());
-  GreedyResolve(*offers, all, &outcomes);
   return outcomes;
-}
-
-ShardedResolution ResolveOffersSharded(std::vector<DispatchOffer>* offers,
-                                       const OfferShardMap& shards,
-                                       ThreadPool* executor) {
-  std::sort(offers->begin(), offers->end(), OfferBefore);
-  const size_t n = offers->size();
-  const int num_shards = std::max(1, shards.num_shards);
-
-  ShardedResolution result;
-  result.outcomes.resize(n);
-  result.scopes.assign(n, OfferScope::kInterior);
-  result.home_shards.assign(n, 0);
-  if (n == 0) return result;
-
-  if (num_shards == 1) {
-    // One shard is the global scan; every offer is trivially interior.
-    std::vector<size_t> all(n);
-    for (size_t i = 0; i < n; ++i) all[i] = i;
-    GreedyResolve(*offers, all, &result.outcomes);
-    result.interior_offers = static_cast<int64_t>(n);
-    return result;
-  }
-
-  // Classify: home shard = worker shard; an offer straddles the boundary
-  // when any member's pickup region differs from the home shard.
-  std::vector<bool> straddles(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    const DispatchOffer& offer = (*offers)[i];
-    int home = shards.worker_shard(offer.worker);
-    result.home_shards[i] = home;
-    for (OrderId member : offer.members) {
-      if (shards.order_shard(member) != home) {
-        straddles[i] = true;
-        break;
-      }
-    }
-  }
-
-  // Conflict components: offers sharing a worker or a member interact in
-  // the greedy scan; nothing else does.
-  std::vector<size_t> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = i;
-  std::unordered_map<WorkerId, size_t> first_with_worker;
-  std::unordered_map<OrderId, size_t> first_with_member;
-  first_with_worker.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const DispatchOffer& offer = (*offers)[i];
-    auto [worker_it, worker_new] = first_with_worker.try_emplace(offer.worker, i);
-    if (!worker_new) Union(&parent, worker_it->second, i);
-    for (OrderId member : offer.members) {
-      auto [member_it, member_new] = first_with_member.try_emplace(member, i);
-      if (!member_new) Union(&parent, member_it->second, i);
-    }
-  }
-
-  // A component containing any straddling offer is resolved by the serial
-  // reconciliation pass; everything else stays in its home shard's scan.
-  std::vector<bool> component_border(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    if (straddles[i]) component_border[Find(&parent, i)] = true;
-  }
-  std::vector<std::vector<size_t>> shard_scans(num_shards);
-  std::vector<size_t> reconciliation;
-  for (size_t i = 0; i < n; ++i) {
-    if (component_border[Find(&parent, i)]) {
-      if (straddles[i]) {
-        result.scopes[i] = OfferScope::kBorder;
-        ++result.border_offers;
-      } else {
-        result.scopes[i] = OfferScope::kBorderAffected;
-        ++result.border_affected;
-      }
-      reconciliation.push_back(i);
-    } else {
-      ++result.interior_offers;
-      shard_scans[result.home_shards[i]].push_back(i);
-    }
-  }
-
-  // Per-shard scans: each writes only its own offers' outcome slots, so the
-  // result is identical whether they run serially or across the pool.
-  if (executor != nullptr && executor->num_threads() > 1) {
-    executor->ParallelFor(
-        static_cast<size_t>(num_shards), 1, [&](size_t begin, size_t end) {
-          for (size_t s = begin; s < end; ++s) {
-            GreedyResolve(*offers, shard_scans[s], &result.outcomes);
-          }
-        });
-  } else {
-    for (int s = 0; s < num_shards; ++s) {
-      GreedyResolve(*offers, shard_scans[s], &result.outcomes);
-    }
-  }
-
-  // Serial cross-shard reconciliation over the border components, in the
-  // same sorted total order. Its claim sets start empty because border
-  // components share no worker or member with any shard scan.
-  GreedyResolve(*offers, reconciliation, &result.outcomes);
-  return result;
 }
 
 }  // namespace watter

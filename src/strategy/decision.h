@@ -6,10 +6,8 @@
 #ifndef WATTER_STRATEGY_DECISION_H_
 #define WATTER_STRATEGY_DECISION_H_
 
-#include <functional>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/core/route_planner.h"
 #include "src/core/types.h"
 #include "src/pool/best_group_map.h"
@@ -33,8 +31,9 @@ inline bool MakeDispatchDecision(const DecisionInputs& inputs) {
   return inputs.average_extra_time <= inputs.average_threshold;  // Line 6.
 }
 
-/// Convenience: evaluates Algorithm 2 for a concrete best group by querying
-/// each member's threshold from `provider`. `orders` resolves member ids.
+/// Algorithm 2 for a concrete best group, querying each member's threshold
+/// from `provider` in member order, then deciding through
+/// DecideGroupDispatchPrecomputed (the serial engine's entry point).
 bool DecideGroupDispatch(const BestGroup& group,
                          const std::vector<const Order*>& members, Time now,
                          const ExtraTimeWeights& weights,
@@ -83,69 +82,10 @@ enum class OfferOutcome {
 /// OfferBefore, then greedily accepts each offer whose worker is still
 /// unclaimed and whose members are all still undispatched. Returns one
 /// outcome per offer, aligned with the *sorted* order. Pure — the platform
-/// applies kCommitted outcomes to the real fleet/pool, and the table-driven
-/// conflict tests exercise this function directly.
+/// applies kCommitted outcomes to the real fleet/pool, and the conflict
+/// tests (a case table and a random-round property test) exercise this
+/// function directly.
 std::vector<OfferOutcome> ResolveOffers(std::vector<DispatchOffer>* offers);
-
-/// Shard assignment of the frozen round state, for the region-sharded
-/// conflict resolution (docs/DISPATCH.md, "Region-sharded reconciliation"). Both
-/// callbacks must be pure over the round's frozen state: a worker's shard
-/// is the grid region of its current (idle) location, an order's shard the
-/// region of its pickup. Called only for ids that appear in some offer.
-struct OfferShardMap {
-  int num_shards = 1;
-  std::function<int(WorkerId)> worker_shard;
-  std::function<int(OrderId)> order_shard;
-};
-
-/// Geographic scope of one offer in the sharded commit pass. The *home
-/// shard* of an offer is its worker's shard, so worker contention is always
-/// intra-shard; only member overlap can cross a shard boundary.
-enum class OfferScope {
-  /// Worker and every member in the home shard, and the offer's conflict
-  /// component contains no border offer: resolved by the home shard's
-  /// parallel scan.
-  kInterior,
-  /// The offer itself straddles a boundary (some member's shard differs
-  /// from the home shard): resolved by the serial reconciliation pass.
-  kBorder,
-  /// Interior-shaped, but conflict-linked (transitively, via shared workers
-  /// or members) to a border offer: pulled into the reconciliation pass so
-  /// its outcome cannot depend on the shard layout.
-  kBorderAffected,
-};
-
-/// Result of the sharded commit pass, aligned with the *sorted* offers.
-struct ShardedResolution {
-  std::vector<OfferOutcome> outcomes;
-  std::vector<OfferScope> scopes;
-  /// Home shard (worker shard) per sorted offer; border-scoped offers keep
-  /// their home shard here too, though the reconciliation pass resolves
-  /// them.
-  std::vector<int> home_shards;
-  int64_t interior_offers = 0;
-  int64_t border_offers = 0;
-  int64_t border_affected = 0;
-};
-
-/// The region-sharded commit pass: sorts `offers` by OfferBefore exactly
-/// like ResolveOffers, then resolves interior offers per shard (in parallel
-/// on `executor` when provided) and border-component offers in one serial
-/// reconciliation scan, both in the same sorted total order.
-///
-/// Bitwise-equality guarantee: the greedy scan of ResolveOffers touches an
-/// offer's outcome only through offers sharing its worker or a member, so
-/// it decomposes exactly over connected components of that conflict graph.
-/// Every component lies entirely in one shard's scan or entirely in the
-/// reconciliation pass (a worker's offers share a home shard; member
-/// sharing across home shards implies a border offer, which drags the whole
-/// component into reconciliation), and the two scan kinds never share a
-/// worker or member — so the outcomes equal ResolveOffers on the same
-/// offers, for any shard count, any shard labeling, and any thread count
-/// (strategy_dispatch_conflict_test fuzzes all three).
-ShardedResolution ResolveOffersSharded(std::vector<DispatchOffer>* offers,
-                                       const OfferShardMap& shards,
-                                       ThreadPool* executor = nullptr);
 
 }  // namespace watter
 

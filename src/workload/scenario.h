@@ -44,9 +44,7 @@ struct WorkloadOptions {
   /// simulating this scenario (results are thread-count-independent).
   /// 1 = serial; 0 = use all hardware threads. SimOptions can override.
   int num_threads = 1;
-  /// Geographic shards for the batched engine's conflict resolution when
-  /// simulating this scenario (results are shard-count-independent; see
-  /// SimOptions::num_shards). 1 = one global scan. SimOptions can override.
+  /// Unused; benchmark/watter_bench.cc still sets it (see ROADMAP.md).
   int num_shards = 1;
   uint64_t seed = 42;
   /// Road-network seed; 0 derives it from `seed`. Fix it to share one city

@@ -3,8 +3,8 @@
 //
 // Three claims are pinned here. (1) The fault schedule is a pure function
 // of (spec, fleet size, horizon): a fixed --faults spec yields bitwise
-// identical metrics across thread counts and shard counts within each
-// engine, exactly like the faultless determinism contract. (2) Recovery
+// identical metrics across thread counts within each engine, exactly like
+// the faultless determinism contract. (2) Recovery
 // conserves orders: after any schedule of dropouts, late dropouts and
 // brownouts, served + rejected + failed_services equals the
 // number of generated orders, and no claim leaks out of a run. (3) An
@@ -212,7 +212,7 @@ struct RunOutcome {
 };
 
 RunOutcome RunFaulted(uint64_t seed, const std::string& faults,
-                      DispatchMode dispatch, int threads, int shards,
+                      DispatchMode dispatch, int threads,
                       int64_t budget = 0, double hazard = 0.0) {
   WorkloadOptions workload;
   workload.dataset = DatasetKind::kCdc;
@@ -231,7 +231,6 @@ RunOutcome RunFaulted(uint64_t seed, const std::string& faults,
   SimOptions options;
   options.num_threads = threads;
   options.dispatch = dispatch;
-  options.num_shards = shards;
   options.cancellation_hazard = hazard;
   WatterPlatform platform(&*scenario, &provider, options);
   RunOutcome outcome;
@@ -261,7 +260,6 @@ void ExpectConserved(const RunOutcome& outcome) {
   const FaultStats& faults = outcome.report.faults;
   EXPECT_LE(faults.returns, faults.dropouts + faults.late_dropouts);
   EXPECT_LE(faults.midroute_dropouts, faults.dropouts + faults.late_dropouts);
-  EXPECT_EQ(outcome.report.failed_services, faults.failed_services);
 }
 
 // Bitwise equality on everything except wall-clock timings (the same
@@ -289,7 +287,6 @@ void ExpectIdentical(const RunOutcome& reference, const RunOutcome& candidate,
   EXPECT_EQ(a.faults.returns, b.faults.returns);
   EXPECT_EQ(a.faults.brownout_rounds, b.faults.brownout_rounds);
   EXPECT_EQ(a.faults.recovered_orders, b.faults.recovered_orders);
-  EXPECT_EQ(a.faults.failed_services, b.faults.failed_services);
   EXPECT_EQ(a.faults.aborted_commits, b.faults.aborted_commits);
   EXPECT_EQ(a.faults.shed_orders, b.faults.shed_orders);
   EXPECT_EQ(a.faults.degraded_rounds, b.faults.degraded_rounds);
@@ -313,7 +310,7 @@ class FaultChaosTest
 
 TEST_P(FaultChaosTest, ConservationHoldsUnderChaos) {
   std::string spec = std::string(kChaosSpec) + ";seed=" + std::to_string(seed());
-  RunOutcome outcome = RunFaulted(seed(), spec, dispatch(), 2, 2);
+  RunOutcome outcome = RunFaulted(seed(), spec, dispatch(), 2);
   ASSERT_GT(outcome.generated, 0u);
   ExpectConserved(outcome);
   // The schedule actually fired: this workload keeps most workers busy, so
@@ -324,31 +321,22 @@ TEST_P(FaultChaosTest, ConservationHoldsUnderChaos) {
   EXPECT_GT(outcome.report.faults.brownout_rounds, 0);
 }
 
-TEST_P(FaultChaosTest, FaultedMetricsIdenticalAcrossThreadsAndShards) {
+TEST_P(FaultChaosTest, FaultedMetricsIdenticalAcrossThreads) {
   std::string spec = std::string(kChaosSpec) + ";seed=11";
-  RunOutcome reference = RunFaulted(seed(), spec, dispatch(), 1, 1);
+  RunOutcome reference = RunFaulted(seed(), spec, dispatch(), 1);
   ASSERT_GT(reference.report.served, 0);
   ExpectConserved(reference);
-  for (int shards : {1, 4}) {
-    // The serial engine ignores the shard knob; one pass is enough.
-    if (dispatch() == DispatchMode::kSerial && shards != 1) continue;
-    for (int threads : {1, 8}) {
-      if (threads == 1 && shards == 1) continue;
-      RunOutcome candidate = RunFaulted(seed(), spec, dispatch(), threads, shards);
-      ExpectIdentical(reference, candidate,
-                      "threads=" + std::to_string(threads) +
-                          " shards=" + std::to_string(shards));
-      ExpectConserved(candidate);
-    }
-  }
+  RunOutcome candidate = RunFaulted(seed(), spec, dispatch(), 8);
+  ExpectIdentical(reference, candidate, "threads=8");
+  ExpectConserved(candidate);
 }
 
 TEST_P(FaultChaosTest, InertSpecIsBitwiseInvisible) {
   // A seed-only spec schedules nothing, so it must not construct any of the
   // fault machinery: the run is bitwise identical to a no-spec run. This is
   // the in-tree face of the "faults-off reproduces the previous PR" gate.
-  RunOutcome off = RunFaulted(seed(), "", dispatch(), 2, 1);
-  RunOutcome inert = RunFaulted(seed(), "seed=1234", dispatch(), 2, 1);
+  RunOutcome off = RunFaulted(seed(), "", dispatch(), 2);
+  RunOutcome inert = RunFaulted(seed(), "seed=1234", dispatch(), 2);
   ASSERT_GT(off.report.served, 0);
   ExpectIdentical(off, inert, "inert-spec");
   EXPECT_EQ(inert.report.faults.dropouts, 0);
@@ -360,10 +348,10 @@ TEST_P(FaultChaosTest, CancellationHazardComposesWithFaults) {
   // accounting; conservation and determinism must survive both at once.
   std::string spec = "dropouts=6;late_dropouts=2;seed=5";
   RunOutcome reference =
-      RunFaulted(seed(), spec, dispatch(), 1, 1, /*budget=*/0, /*hazard=*/0.01);
+      RunFaulted(seed(), spec, dispatch(), 1, /*budget=*/0, /*hazard=*/0.01);
   ExpectConserved(reference);
   RunOutcome candidate =
-      RunFaulted(seed(), spec, dispatch(), 8, 1, /*budget=*/0, /*hazard=*/0.01);
+      RunFaulted(seed(), spec, dispatch(), 8, /*budget=*/0, /*hazard=*/0.01);
   ExpectIdentical(reference, candidate, "hazard+faults threads=8");
 }
 
@@ -390,8 +378,7 @@ TEST_P(OverloadSheddingTest, TightBudgetShedsButConserves) {
   // A budget far below the per-round demand must shed propose work (the
   // counters prove it) while every order still reaches a terminal state —
   // shedding defers, it never drops.
-  RunOutcome budgeted =
-      RunFaulted(7, "", GetParam(), 2, 1, /*budget=*/40);
+  RunOutcome budgeted = RunFaulted(7, "", GetParam(), 2, /*budget=*/40);
   ExpectConserved(budgeted);
   EXPECT_GT(budgeted.report.faults.shed_orders, 0);
   EXPECT_GT(budgeted.report.faults.degraded_rounds, 0);
@@ -401,30 +388,21 @@ TEST_P(OverloadSheddingTest, TightBudgetShedsButConserves) {
   EXPECT_GT(budgeted.report.served, 0);
 }
 
-TEST_P(OverloadSheddingTest, BudgetedRunsAreThreadAndShardInvariant) {
+TEST_P(OverloadSheddingTest, BudgetedRunsAreThreadInvariant) {
   // Work units are counted in scenario terms (probes + plans), never
   // wall-clock, so the shed set — and therefore every metric — is the same
   // at any parallelism.
-  RunOutcome reference = RunFaulted(7, "", GetParam(), 1, 1, /*budget=*/60);
+  RunOutcome reference = RunFaulted(7, "", GetParam(), 1, /*budget=*/60);
   ASSERT_GT(reference.report.faults.shed_orders, 0);
-  for (int shards : {1, 4}) {
-    if (GetParam() == DispatchMode::kSerial && shards != 1) continue;
-    for (int threads : {1, 8}) {
-      if (threads == 1 && shards == 1) continue;
-      ExpectIdentical(reference,
-                      RunFaulted(7, "", GetParam(), threads, shards,
-                                 /*budget=*/60),
-                      "budget threads=" + std::to_string(threads) +
-                          " shards=" + std::to_string(shards));
-    }
-  }
+  ExpectIdentical(reference, RunFaulted(7, "", GetParam(), 8, /*budget=*/60),
+                  "budget threads=8");
 }
 
 TEST_P(OverloadSheddingTest, UnlimitedBudgetMatchesNoBudget) {
-  // budget < 0 forces "unlimited" through the same code path the watchdog
-  // uses; it must be bitwise identical to budgeting never existing.
-  RunOutcome off = RunFaulted(7, "", GetParam(), 2, 1, /*budget=*/0);
-  RunOutcome unlimited = RunFaulted(7, "", GetParam(), 2, 1, /*budget=*/-1);
+  // budget < 0 forces "unlimited" even when the workload sets a budget; it
+  // must be bitwise identical to budgeting never existing.
+  RunOutcome off = RunFaulted(7, "", GetParam(), 2, /*budget=*/0);
+  RunOutcome unlimited = RunFaulted(7, "", GetParam(), 2, /*budget=*/-1);
   ExpectIdentical(off, unlimited, "unlimited-budget");
   EXPECT_EQ(unlimited.report.faults.shed_orders, 0);
 }

@@ -50,7 +50,6 @@ WorkloadOptions DeterminismWorkload(uint64_t seed) {
 
 RunOutcome RunWithThreads(uint64_t seed, int num_threads,
                           double cancellation_hazard, DispatchMode dispatch,
-                          int num_shards = 1,
                           OracleKind oracle = OracleKind::kMatrix,
                           GeoBackend geo = GeoBackend::kBucket,
                           bool traced = false,
@@ -66,7 +65,6 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
   options.num_threads = num_threads;
   options.cancellation_hazard = cancellation_hazard;
   options.dispatch = dispatch;
-  options.num_shards = num_shards;
   options.faults = faults;
   std::string trace_path, timeline_path;
   if (traced) {
@@ -118,10 +116,19 @@ void ExpectIdentical(const RunOutcome& reference, const RunOutcome& candidate,
   EXPECT_EQ(a.avg_detour, b.avg_detour);
   EXPECT_EQ(a.avg_group_size, b.avg_group_size);
   EXPECT_EQ(a.fleet_utilization, b.fleet_utilization);
-  // Batched-engine offer/outcome totals are deterministic across both
-  // threads and shards (the sharded reconciliation is bitwise-equal to the
-  // global scan). Border splits are excluded here: they describe the shard
-  // layout itself and legitimately differ across shard counts.
+  // Pool work counters are thread-count-independent (metrics.h, PoolStats);
+  // BENCH_pool.json and the benchmark's replay check rely on it.
+  EXPECT_EQ(a.pool.best_group_recomputes, b.pool.best_group_recomputes);
+  EXPECT_EQ(a.pool.groups_evaluated, b.pool.groups_evaluated);
+  EXPECT_EQ(a.pool.planner_plans, b.pool.planner_plans);
+  EXPECT_EQ(a.pool.pair_tests, b.pool.pair_tests);
+  EXPECT_EQ(a.pool.plan_cache_hits, b.pool.plan_cache_hits);
+  EXPECT_EQ(a.pool.plan_cache_misses, b.pool.plan_cache_misses);
+  EXPECT_EQ(a.pool.plan_cache_replans, b.pool.plan_cache_replans);
+  EXPECT_EQ(a.pool.plan_cache_seeds, b.pool.plan_cache_seeds);
+  EXPECT_EQ(a.pool.plan_cache_evictions, b.pool.plan_cache_evictions);
+  EXPECT_EQ(a.pool.reverse_index_fanout, b.pool.reverse_index_fanout);
+  // Batched-engine offer/outcome totals are thread-count-independent too.
   EXPECT_EQ(a.dispatch.offers, b.dispatch.offers);
   EXPECT_EQ(a.dispatch.committed, b.dispatch.committed);
   EXPECT_EQ(a.dispatch.worker_conflicts, b.dispatch.worker_conflicts);
@@ -188,20 +195,20 @@ class GeoBackendDeterminismTest
 };
 
 TEST_P(GeoBackendDeterminismTest, BucketAndPerQueryBackendsAgreeBitwise) {
-  RunOutcome reference = RunWithThreads(seed(), 1, 0.0, dispatch(), 1,
+  RunOutcome reference = RunWithThreads(seed(), 1, 0.0, dispatch(),
                                         OracleKind::kCh,
                                         GeoBackend::kPerQuery);
   ASSERT_GT(reference.report.served, 0);
   ASSERT_FALSE(reference.served.empty());
   for (int threads : {2, 8}) {
     ExpectIdentical(reference,
-                    RunWithThreads(seed(), threads, 0.0, dispatch(), 1,
+                    RunWithThreads(seed(), threads, 0.0, dispatch(),
                                    OracleKind::kCh, GeoBackend::kPerQuery),
                     threads);
   }
   for (int threads : {1, 2, 8}) {
     ExpectIdentical(reference,
-                    RunWithThreads(seed(), threads, 0.0, dispatch(), 1,
+                    RunWithThreads(seed(), threads, 0.0, dispatch(),
                                    OracleKind::kCh, GeoBackend::kBucket),
                     threads);
   }
@@ -234,78 +241,13 @@ INSTANTIATE_TEST_SUITE_P(
                                      DispatchMode::kBatched)),
     CaseName);
 
-// Shard axis: the region-sharded conflict resolution must be invisible in
-// the results. The unsharded 1-thread run is the reference; every
-// (shards, threads) combination must match it bit for bit — metrics,
-// served/expired sets, and the deterministic dispatch counters — in both
-// engines (kSerial ignores the knob; asserting that guards against the
-// shard plumbing leaking into the serial path). The ResolveOffersSharded
-// equality proof (decision.h) is what this exercises end to end.
-class ShardedDeterminismTest
-    : public testing::TestWithParam<std::tuple<uint64_t, DispatchMode>> {
- protected:
-  uint64_t seed() const { return std::get<0>(GetParam()); }
-  DispatchMode dispatch() const { return std::get<1>(GetParam()); }
-
-  void ExpectMatrixIdentical(double cancellation_hazard) {
-    RunOutcome reference =
-        RunWithThreads(seed(), 1, cancellation_hazard, dispatch(), 1);
-    ASSERT_GT(reference.report.served, 0);
-    ASSERT_FALSE(reference.served.empty());
-    for (int shards : {2, 4, 16}) {
-      for (int threads : {1, 2, 8}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        ExpectIdentical(reference,
-                        RunWithThreads(seed(), threads, cancellation_hazard,
-                                       dispatch(), shards),
-                        threads);
-      }
-    }
-  }
-};
-
-TEST_P(ShardedDeterminismTest, MetricsIdenticalAcrossShardCounts) {
-  ExpectMatrixIdentical(0.0);
-}
-
-TEST_P(ShardedDeterminismTest, CancellationRandomnessIsShardInvariant) {
-  // The hazard draws happen in the serial post-sweep, whose RNG sequence
-  // must not depend on the shard count (the pool holds the same survivors
-  // in the same order because the committed sets are bitwise equal).
-  ExpectMatrixIdentical(0.01);
-}
-
-TEST(ShardedDispatchStatsTest, BorderWorkIsObservedAndBounded) {
-  // The classification counters must actually partition the offer stream:
-  // interior + border + affected = offers, with some work in each class on
-  // a dense workload (16 regions over a 16x16 grid guarantees straddling
-  // groups). This is the one place border splits are asserted — the
-  // determinism comparisons above deliberately exclude them.
-  RunOutcome sharded = RunWithThreads(7, 8, 0.0, DispatchMode::kBatched, 16);
-  const DispatchStats& stats = sharded.report.dispatch;
-  ASSERT_GT(stats.offers, 0);
-  EXPECT_GT(stats.border_offers, 0);
-  EXPECT_LE(stats.border_offers + stats.border_affected, stats.offers);
-  RunOutcome unsharded = RunWithThreads(7, 8, 0.0, DispatchMode::kBatched, 1);
-  EXPECT_EQ(unsharded.report.dispatch.border_offers, 0);
-  EXPECT_EQ(unsharded.report.dispatch.border_affected, 0);
-  EXPECT_EQ(unsharded.report.dispatch.offers, stats.offers);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, ShardedDeterminismTest,
-    testing::Combine(testing::Values(7, 1234, 990017),
-                     testing::Values(DispatchMode::kSerial,
-                                     DispatchMode::kBatched)),
-    CaseName);
-
 // Trace axis: arming the observability taps (trace + timeline + histograms)
 // must be invisible in the results — the "on never perturbs" half of the
 // overhead contract (src/obs/trace.h, docs/OBSERVABILITY.md). The untraced
-// 1-thread unsharded run is the reference; traced runs must match it bit
-// for bit across thread counts and shard counts in both engines. The traced
-// runs also prove the export path is safe to run concurrently with worker
-// pools (the span buffers merge under TSan in CI's filtered job).
+// 1-thread run is the reference; traced runs must match it bit for bit
+// across thread counts in both engines. The traced runs also prove the
+// export path is safe to run concurrently with worker pools (the span
+// buffers merge under TSan in CI's filtered job).
 class TraceDeterminismTest
     : public testing::TestWithParam<std::tuple<uint64_t, DispatchMode>> {
  protected:
@@ -314,20 +256,16 @@ class TraceDeterminismTest
 };
 
 TEST_P(TraceDeterminismTest, TracedRunsMatchUntracedBitwise) {
-  RunOutcome reference = RunWithThreads(seed(), 1, 0.0, dispatch(), 1);
+  RunOutcome reference = RunWithThreads(seed(), 1, 0.0, dispatch());
   ASSERT_GT(reference.report.served, 0);
   ASSERT_FALSE(reference.served.empty());
-  for (int shards : {1, 4}) {
-    // The serial engine ignores the shard knob; one pass is enough.
-    if (dispatch() == DispatchMode::kSerial && shards != 1) continue;
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " traced");
-      ExpectIdentical(reference,
-                      RunWithThreads(seed(), threads, 0.0, dispatch(),
-                                     shards, OracleKind::kMatrix,
-                                     GeoBackend::kBucket, /*traced=*/true),
-                      threads);
-    }
+  SCOPED_TRACE("traced");
+  for (int threads : {1, 8}) {
+    ExpectIdentical(reference,
+                    RunWithThreads(seed(), threads, 0.0, dispatch(),
+                                   OracleKind::kMatrix, GeoBackend::kBucket,
+                                   /*traced=*/true),
+                    threads);
   }
 }
 
@@ -351,7 +289,6 @@ uint64_t Bits(double value) {
 struct GoldenCase {
   const char* name;
   DispatchMode dispatch;
-  int shards;
   const char* faults;
   int64_t served;
   int64_t rejected;
@@ -368,23 +305,20 @@ constexpr char kGoldenFaults[] =
     "seed=11";
 
 const GoldenCase kGoldenCases[] = {
-    {"serial", DispatchMode::kSerial, 1, "", 281, 219, 0, 0, 0,
+    {"serial", DispatchMode::kSerial, "", 281, 219, 0, 0, 0,
      0x4100b5f01f1e85a6ULL, 0x4134f105b8d14000ULL},
-    {"batched_shards1", DispatchMode::kBatched, 1, "", 314, 186, 185, 1513,
-     235, 0x4100ea4e170b3df6ULL, 0x4133d09c5ef0c000ULL},
-    {"batched_shards4", DispatchMode::kBatched, 4, "", 314, 186, 185, 1513,
-     235, 0x4100ea4e170b3df6ULL, 0x4133d09c5ef0c000ULL},
-    {"batched_shards4_faults", DispatchMode::kBatched, 4, kGoldenFaults, 271,
-     226, 166, 1229, 224, 0x410213879820d509ULL, 0x4136b06f56fbb000ULL},
+    {"batched", DispatchMode::kBatched, "", 314, 186, 185, 1513, 235,
+     0x4100ea4e170b3df6ULL, 0x4133d09c5ef0c000ULL},
+    {"batched_faults", DispatchMode::kBatched, kGoldenFaults, 271, 226, 166,
+     1229, 224, 0x410213879820d509ULL, 0x4136b06f56fbb000ULL},
 };
 
 TEST(GoldenOutputTest, Seed7MatchesPinnedValues) {
   for (const GoldenCase& golden : kGoldenCases) {
     SCOPED_TRACE(golden.name);
     RunOutcome outcome =
-        RunWithThreads(7, 4, 0.0, golden.dispatch, golden.shards,
-                       OracleKind::kMatrix, GeoBackend::kBucket,
-                       /*traced=*/false, golden.faults);
+        RunWithThreads(7, 4, 0.0, golden.dispatch, OracleKind::kMatrix,
+                       GeoBackend::kBucket, /*traced=*/false, golden.faults);
     const MetricsReport& r = outcome.report;
     EXPECT_EQ(r.served, golden.served);
     EXPECT_EQ(r.rejected, golden.rejected);

@@ -2,17 +2,16 @@
 // (docs/DISPATCH.md): offers sorted by the (cost, anchor, worker) total
 // order, then accepted greedily. Covers the two conflict classes — worker
 // contention and order-in-two-groups — plus empty rounds, tie-breaking,
-// and invariance to the (thread-count-dependent) input order.
+// and invariance to the (thread-count-dependent) input order, both on a
+// hand-written case table and on dense random rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/strategy/decision.h"
 
 namespace watter {
@@ -142,30 +141,10 @@ TEST(DispatchConflictTest, ResolutionIsInputOrderInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded resolution: randomized boundary-conflict fuzzing.
-//
-// ResolveOffersSharded claims bitwise equality with ResolveOffers for ANY
-// shard map (decision.h). The fuzz suites below generate dense random offer
-// sets — small worker/order universes force heavy worker contention, member
-// overlap, and components straddling shard borders — under random shard
-// assignments, and require the sharded outcomes to equal the global scan,
-// to survive input shuffles and shard-label permutations, and to agree
-// between the serial and thread-pool execution paths.
-
-/// Explicit shard tables; the OfferShardMap callbacks look ids up here.
-struct ShardAssignment {
-  int num_shards = 1;
-  std::unordered_map<WorkerId, int> worker_shards;
-  std::unordered_map<OrderId, int> order_shards;
-
-  OfferShardMap Map() const {
-    OfferShardMap map;
-    map.num_shards = num_shards;
-    map.worker_shard = [this](WorkerId w) { return worker_shards.at(w); };
-    map.order_shard = [this](OrderId o) { return order_shards.at(o); };
-    return map;
-  }
-};
+// Property tests: the hand-written table above pins chosen cases; these
+// generate dense random rounds and check what every greedy sorted-offers
+// scan must satisfy. Small worker and order universes force heavy worker
+// contention, member overlap and cost ties.
 
 std::vector<DispatchOffer> RandomOffers(std::mt19937* rng) {
   // Anchors are unique per round (they are distinct pooled orders), but
@@ -193,180 +172,66 @@ std::vector<DispatchOffer> RandomOffers(std::mt19937* rng) {
   return offers;
 }
 
-ShardAssignment RandomAssignment(const std::vector<DispatchOffer>& offers,
-                                 int num_shards, std::mt19937* rng) {
-  ShardAssignment assign;
-  assign.num_shards = num_shards;
-  std::uniform_int_distribution<int> shard_dist(0, num_shards - 1);
-  for (const DispatchOffer& offer : offers) {
-    assign.worker_shards.emplace(offer.worker, shard_dist(*rng));
-    for (OrderId member : offer.members) {
-      assign.order_shards.emplace(member, shard_dist(*rng));
-    }
-  }
-  return assign;
-}
-
-/// The structural invariants any resolution must satisfy, plus the scope
-/// classification's definition checked against the shard tables directly.
-void CheckResolutionInvariants(const std::vector<DispatchOffer>& sorted,
-                               const ShardedResolution& resolution,
-                               const ShardAssignment& assign) {
-  ASSERT_EQ(resolution.outcomes.size(), sorted.size());
-  ASSERT_EQ(resolution.scopes.size(), sorted.size());
-  ASSERT_EQ(resolution.home_shards.size(), sorted.size());
-  EXPECT_EQ(resolution.interior_offers + resolution.border_offers +
-                resolution.border_affected,
-            static_cast<int64_t>(sorted.size()));
-  std::unordered_set<WorkerId> committed_workers;
-  std::unordered_set<OrderId> committed_members;
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (resolution.outcomes[i] == OfferOutcome::kCommitted) {
-      // Winners are conflict-free: distinct workers, disjoint members.
-      EXPECT_TRUE(committed_workers.insert(sorted[i].worker).second);
-      for (OrderId member : sorted[i].members) {
-        EXPECT_TRUE(committed_members.insert(member).second);
+TEST(ResolveOffersPropertyTest, WinnersAreDisjointAndEveryLossIsJustified) {
+  std::mt19937 rng(20240807);
+  for (int iter = 0; iter < 200; ++iter) {
+    SCOPED_TRACE("iter=" + std::to_string(iter));
+    std::vector<DispatchOffer> offers = RandomOffers(&rng);
+    std::vector<OfferOutcome> outcomes = ResolveOffers(&offers);
+    ASSERT_EQ(outcomes.size(), offers.size());
+    // Workers and members held by the committed offers seen so far, in
+    // sorted order: a loss must point at an earlier winner.
+    std::unordered_set<WorkerId> committed_workers;
+    std::unordered_set<OrderId> committed_members;
+    for (size_t i = 0; i < offers.size(); ++i) {
+      const DispatchOffer& offer = offers[i];
+      if (i > 0) {
+        EXPECT_FALSE(OfferBefore(offer, offers[i - 1]));
+      }
+      bool member_taken = std::any_of(
+          offer.members.begin(), offer.members.end(),
+          [&](OrderId member) { return committed_members.count(member) > 0; });
+      switch (outcomes[i]) {
+        case OfferOutcome::kCommitted:
+          // Winners are pairwise disjoint in workers and in members.
+          EXPECT_TRUE(committed_workers.insert(offer.worker).second);
+          for (OrderId member : offer.members) {
+            EXPECT_TRUE(committed_members.insert(member).second);
+          }
+          break;
+        case OfferOutcome::kWorkerConflict:
+          EXPECT_EQ(committed_workers.count(offer.worker), 1u);
+          // Order overlap is classified first.
+          EXPECT_FALSE(member_taken);
+          break;
+        case OfferOutcome::kOrderConflict:
+          EXPECT_TRUE(member_taken);
+          break;
       }
     }
-    int home = assign.worker_shards.at(sorted[i].worker);
-    EXPECT_EQ(resolution.home_shards[i], home);
-    bool straddles = false;
-    for (OrderId member : sorted[i].members) {
-      straddles |= assign.order_shards.at(member) != home;
-    }
-    // kBorder iff the offer itself straddles; an interior-shaped offer may
-    // be kInterior or kBorderAffected depending on its conflict component.
-    EXPECT_EQ(resolution.scopes[i] == OfferScope::kBorder, straddles);
-    if (assign.num_shards == 1) {
-      EXPECT_EQ(resolution.scopes[i], OfferScope::kInterior);
-    }
   }
 }
 
-TEST(ShardedResolveFuzzTest, MatchesUnshardedForRandomShardMaps) {
-  std::mt19937 rng(20240807);
+TEST(ResolveOffersPropertyTest, ShuffledInputResolvesIdentically) {
+  std::mt19937 rng(987654321);
   for (int iter = 0; iter < 60; ++iter) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     std::vector<DispatchOffer> base = RandomOffers(&rng);
     std::vector<DispatchOffer> reference = base;
     std::vector<OfferOutcome> expected = ResolveOffers(&reference);
-    for (int num_shards : {1, 2, 3, 4, 8}) {
-      SCOPED_TRACE("shards=" + std::to_string(num_shards));
-      ShardAssignment assign = RandomAssignment(base, num_shards, &rng);
-      std::vector<DispatchOffer> offers = base;
-      ShardedResolution resolution =
-          ResolveOffersSharded(&offers, assign.Map());
-      ASSERT_EQ(offers.size(), reference.size());
-      for (size_t i = 0; i < offers.size(); ++i) {
-        EXPECT_EQ(offers[i].anchor, reference[i].anchor);
-      }
-      EXPECT_EQ(resolution.outcomes, expected);
-      CheckResolutionInvariants(offers, resolution, assign);
-    }
-  }
-}
-
-TEST(ShardedResolveFuzzTest, InvariantToInputShuffleAndShardRelabeling) {
-  // Neither the propose completion order nor which integer names a shard
-  // may show in the results: outcomes AND scopes must survive a shuffle of
-  // the offers combined with a random permutation of the shard labels.
-  std::mt19937 rng(987654321);
-  for (int iter = 0; iter < 30; ++iter) {
-    SCOPED_TRACE("iter=" + std::to_string(iter));
-    std::vector<DispatchOffer> base = RandomOffers(&rng);
-    const int num_shards = 4;
-    ShardAssignment assign = RandomAssignment(base, num_shards, &rng);
-    std::vector<DispatchOffer> reference = base;
-    ShardedResolution expected =
-        ResolveOffersSharded(&reference, assign.Map());
     for (int round = 0; round < 5; ++round) {
-      std::vector<int> relabel(num_shards);
-      for (int s = 0; s < num_shards; ++s) relabel[s] = s;
-      std::shuffle(relabel.begin(), relabel.end(), rng);
-      ShardAssignment permuted;
-      permuted.num_shards = num_shards;
-      for (const auto& [worker, shard] : assign.worker_shards) {
-        permuted.worker_shards.emplace(worker, relabel[shard]);
-      }
-      for (const auto& [order, shard] : assign.order_shards) {
-        permuted.order_shards.emplace(order, relabel[shard]);
-      }
       std::vector<DispatchOffer> shuffled = base;
       std::shuffle(shuffled.begin(), shuffled.end(), rng);
-      ShardedResolution resolution =
-          ResolveOffersSharded(&shuffled, permuted.Map());
-      EXPECT_EQ(resolution.outcomes, expected.outcomes);
-      EXPECT_EQ(resolution.scopes, expected.scopes);
-      EXPECT_EQ(resolution.border_offers, expected.border_offers);
-      EXPECT_EQ(resolution.border_affected, expected.border_affected);
-      EXPECT_EQ(resolution.interior_offers, expected.interior_offers);
+      EXPECT_EQ(ResolveOffers(&shuffled), expected);
+      ASSERT_EQ(shuffled.size(), reference.size());
+      for (size_t i = 0; i < shuffled.size(); ++i) {
+        EXPECT_EQ(shuffled[i].anchor, reference[i].anchor);
+        EXPECT_EQ(shuffled[i].worker, reference[i].worker);
+        EXPECT_EQ(shuffled[i].cost, reference[i].cost);
+        EXPECT_EQ(shuffled[i].members, reference[i].members);
+      }
     }
   }
-}
-
-TEST(ShardedResolveFuzzTest, ThreadPoolAgreesWithSerialScans) {
-  // The per-shard scans write disjoint outcome slots, so running them on a
-  // pool must be invisible. (The platform passes its executor; the other
-  // fuzz tests cover the serial path.)
-  ThreadPool pool(4);
-  std::mt19937 rng(55555);
-  for (int iter = 0; iter < 30; ++iter) {
-    SCOPED_TRACE("iter=" + std::to_string(iter));
-    std::vector<DispatchOffer> base = RandomOffers(&rng);
-    ShardAssignment assign = RandomAssignment(base, 4, &rng);
-    std::vector<DispatchOffer> serial = base;
-    ShardedResolution serial_res =
-        ResolveOffersSharded(&serial, assign.Map());
-    std::vector<DispatchOffer> pooled = base;
-    ShardedResolution pooled_res =
-        ResolveOffersSharded(&pooled, assign.Map(), &pool);
-    EXPECT_EQ(pooled_res.outcomes, serial_res.outcomes);
-    EXPECT_EQ(pooled_res.scopes, serial_res.scopes);
-  }
-}
-
-TEST(ShardedResolveTest, WorkedTwoShardExample) {
-  // The docs/DISPATCH.md worked example, verbatim. Shard 0 holds worker 1
-  // and orders {1,2,3}; shard 1 holds workers {2,3} and orders {4,5}.
-  // Offer D (worker 3, members {3,5}) straddles the border via order 3,
-  // and order 3 also sits in offer B's member set — so A and B, though
-  // interior-shaped, are conflict-linked to D and become border-affected.
-  ShardAssignment assign;
-  assign.num_shards = 2;
-  assign.worker_shards = {{1, 0}, {2, 1}, {3, 1}};
-  assign.order_shards = {{1, 0}, {2, 0}, {3, 0}, {4, 1}, {5, 1}};
-  std::vector<DispatchOffer> offers = {
-      MakeOffer(1, {1, 2}, 1, 10.0),  // A: interior-shaped, shard 0.
-      MakeOffer(3, {2, 3}, 1, 12.0),  // B: interior-shaped, shard 0.
-      MakeOffer(4, {4}, 2, 5.0),      // C: interior, shard 1.
-      MakeOffer(5, {3, 5}, 3, 8.0),   // D: border (order 3 is in shard 0).
-  };
-  ShardedResolution resolution = ResolveOffersSharded(&offers, assign.Map());
-  // Sorted by cost: C(5), D(8), A(10), B(12).
-  ASSERT_EQ(offers.size(), 4u);
-  EXPECT_EQ(offers[0].anchor, 4);
-  EXPECT_EQ(offers[1].anchor, 5);
-  EXPECT_EQ(offers[2].anchor, 1);
-  EXPECT_EQ(offers[3].anchor, 3);
-  // C commits in shard 1's scan; D commits in reconciliation; A commits in
-  // reconciliation too (border-affected); B loses order 2 to A.
-  EXPECT_EQ(resolution.outcomes,
-            (std::vector<OfferOutcome>{
-                OfferOutcome::kCommitted, OfferOutcome::kCommitted,
-                OfferOutcome::kCommitted, OfferOutcome::kOrderConflict}));
-  EXPECT_EQ(resolution.scopes,
-            (std::vector<OfferScope>{
-                OfferScope::kInterior, OfferScope::kBorder,
-                OfferScope::kBorderAffected, OfferScope::kBorderAffected}));
-  EXPECT_EQ(resolution.home_shards, (std::vector<int>{1, 1, 0, 0}));
-  EXPECT_EQ(resolution.interior_offers, 1);
-  EXPECT_EQ(resolution.border_offers, 1);
-  EXPECT_EQ(resolution.border_affected, 2);
-  // The same offers through the unsharded scan: identical outcomes.
-  std::vector<DispatchOffer> unsharded = {
-      MakeOffer(1, {1, 2}, 1, 10.0), MakeOffer(3, {2, 3}, 1, 12.0),
-      MakeOffer(4, {4}, 2, 5.0), MakeOffer(5, {3, 5}, 3, 8.0)};
-  EXPECT_EQ(ResolveOffers(&unsharded), resolution.outcomes);
 }
 
 TEST(DispatchConflictTest, OfferBeforeIsATotalOrderOnDistinctAnchors) {

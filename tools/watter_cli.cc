@@ -24,25 +24,16 @@
 //   default — its cost-ranked commits serve more orders under contention,
 //   see docs/PERFORMANCE.md) or the paper-faithful sequential loop. Either
 //   engine is deterministic for any --threads.
-//   --shards N [1] — region shards of the batched engine's conflict
-//   resolution (docs/DISPATCH.md): N > 1 partitions the feature grid into N
-//   regions and resolves interior offers per shard in parallel with a
-//   serial border reconciliation; N = 1 is one global scan. Metrics are
-//   identical for any N (the sharded scan is bitwise-equal to the global
-//   one); ignored by --dispatch serial.
 //
 // Robustness flags (docs/ROBUSTNESS.md):
 //   --faults SPEC — deterministic fault injection, e.g.
 //   "dropouts=5;brownouts=2;seed=7". Worker dropouts/returns, late
 //   dropouts, and oracle brownouts fire from a precomputed seeded schedule,
-//   so a fixed spec is bitwise reproducible across threads and shards.
+//   so a fixed spec is bitwise reproducible across thread counts.
 //   Empty (the default) disables fault injection entirely.
 //   --budget N — per-round propose work budget in deterministic work units
 //   (candidate probes + planner plans); overloaded rounds shed their
 //   least-urgent tail to the next round. 0 = unlimited.
-//   --watchdog-ms MS — opt-in wall-clock watchdog: rounds slower than MS
-//   halve the effective work budget, compliant rounds grow it back. Wall-
-//   clock driven, so excluded from the determinism contract.
 //
 // Observability flags (docs/OBSERVABILITY.md; all run-neutral — metrics are
 // bitwise identical whether they are set or not):
@@ -102,10 +93,8 @@ struct CliArgs {
                "                  --city-seed S --duration HOURS\n"
                "                  --threads T (0 = all hardware threads)\n"
                "                  --dispatch serial|batched (default batched)\n"
-               "                  --shards N (default 1 = one global scan)\n"
                "  robustness:     --faults SPEC (docs/ROBUSTNESS.md grammar)\n"
                "                  --budget N (per-round propose work units)\n"
-               "                  --watchdog-ms MS (wall-clock budget clamp)\n"
                "  observability:  --trace FILE (Chrome trace-event JSON)\n"
                "                  --timeline FILE (per-round JSON; .csv = CSV)\n"
                "                  --metrics-json FILE (full report as JSON)\n");
@@ -159,10 +148,6 @@ CliArgs Parse(int argc, char** argv) {
       args.workload.duration = std::atof(need_value("--duration")) * 3600.0;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       args.workload.num_threads = std::atoi(need_value("--threads"));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      int shards = std::atoi(need_value("--shards"));
-      if (shards < 1) Usage("--shards needs a positive shard count");
-      args.workload.num_shards = shards;
     } else if (std::strcmp(argv[i], "--dispatch") == 0) {
       std::string mode = need_value("--dispatch");
       if (mode == "serial") {
@@ -187,10 +172,6 @@ CliArgs Parse(int argc, char** argv) {
       args.workload.faults = spec;
     } else if (std::strcmp(argv[i], "--budget") == 0) {
       args.workload.round_work_budget = std::atoll(need_value("--budget"));
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
-      double ms = std::atof(need_value("--watchdog-ms"));
-      if (ms < 0.0) Usage("--watchdog-ms needs a non-negative value");
-      args.sim.watchdog_ms = ms;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       args.workload.trace_path = need_value("--trace");
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
@@ -252,11 +233,10 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
     pool.Print();
   }
   // Fault-injection / degradation counters — only when something fired
-  // (docs/ROBUSTNESS.md). Deterministic except the watchdog trips.
+  // (docs/ROBUSTNESS.md). All deterministic.
   const FaultStats& faults = report.faults;
   if (faults.dropouts + faults.late_dropouts + faults.returns +
-          faults.brownout_rounds + faults.shed_orders +
-          faults.watchdog_trips >
+          faults.brownout_rounds + faults.shed_orders >
       0) {
     Table fault_table({"fault counter", "value"});
     fault_table.AddRow({"worker dropouts", std::to_string(faults.dropouts)});
@@ -270,7 +250,7 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
     fault_table.AddRow({"orders recovered",
                         std::to_string(faults.recovered_orders)});
     fault_table.AddRow({"failed services",
-                        std::to_string(faults.failed_services)});
+                        std::to_string(report.failed_services)});
     fault_table.AddRow({"aborted commits",
                         std::to_string(faults.aborted_commits)});
     fault_table.AddRow({"orders shed (budget)",
@@ -279,8 +259,6 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
                         std::to_string(faults.degraded_rounds)});
     fault_table.AddRow({"work units charged",
                         std::to_string(faults.work_units)});
-    fault_table.AddRow({"watchdog trips",
-                        std::to_string(faults.watchdog_trips)});
     fault_table.Print();
   }
   // Travel-time-oracle work counters (diagnostic, not deterministic:
