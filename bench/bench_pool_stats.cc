@@ -23,6 +23,7 @@
 // ${CMAKE_BINARY_DIR}/BENCH_pool.json.
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/stopwatch.h"
@@ -41,26 +42,22 @@ void EmitRecord(const std::string& body) {
                                 "\", " + body + "}");
 }
 
-std::string PoolCounterFields(const PoolStats& pool) {
-  char buffer[512];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "\"planner_plans\": %lld, \"pair_tests\": %lld, "
-      "\"recomputes\": %lld, \"groups_evaluated\": %lld, "
-      "\"plan_cache_hits\": %lld, \"plan_cache_misses\": %lld, "
-      "\"plan_cache_replans\": %lld, \"plan_cache_evictions\": %lld, "
-      "\"plan_cache_seeds\": %lld, \"reverse_index_fanout\": %lld",
-      static_cast<long long>(pool.planner_plans),
-      static_cast<long long>(pool.pair_tests),
-      static_cast<long long>(pool.best_group_recomputes),
-      static_cast<long long>(pool.groups_evaluated),
-      static_cast<long long>(pool.plan_cache_hits),
-      static_cast<long long>(pool.plan_cache_misses),
-      static_cast<long long>(pool.plan_cache_replans),
-      static_cast<long long>(pool.plan_cache_evictions),
-      static_cast<long long>(pool.plan_cache_seeds),
-      static_cast<long long>(pool.reverse_index_fanout));
-  return buffer;
+// `"name": value` for every pool counter of `after` minus `before`, in visit
+// order (metrics.h).
+std::string PoolCounterFields(const PoolStats& after,
+                              const PoolStats& before = {}) {
+  std::vector<int64_t> base;
+  VisitFields(before, [&base](const char*, int64_t value) {
+    base.push_back(value);
+  });
+  std::string fields;
+  size_t i = 0;
+  VisitFields(after, [&](const char* name, int64_t value) {
+    fields += std::string(i > 0 ? ", " : "") + "\"" + name +
+              "\": " + std::to_string(value - base[i]);
+    ++i;
+  });
+  return fields;
 }
 
 // ---------------------------------------------------------------------------
@@ -79,16 +76,15 @@ void RunEndToEnd(DispatchMode mode) {
   sim.dispatch = mode;
   MetricsReport report = RunWatter(&*scenario, &provider, sim);
 
-  char body[512];
+  char body[256];
   std::snprintf(
       body, sizeof(body),
       "\"case\": \"fig3_quick_n1500_timeout\", \"dispatch\": \"%s\", "
       "\"served\": %lld, \"service_rate\": %.6g, "
-      "\"running_time_per_order_us\": %.3f, %s",
+      "\"running_time_per_order_us\": %.3f, ",
       DispatchName(mode), static_cast<long long>(report.served),
-      report.service_rate, report.running_time_per_order * 1e6,
-      PoolCounterFields(report.pool).c_str());
-  EmitRecord(body);
+      report.service_rate, report.running_time_per_order * 1e6);
+  EmitRecord(body + PoolCounterFields(report.pool));
   std::printf("%-28s %-8s served=%lld plans=%lld us/order=%.1f\n",
               "fig3_quick_n1500_timeout", DispatchName(mode),
               static_cast<long long>(report.served),
@@ -127,48 +123,16 @@ struct MicroFixture {
   }
 };
 
-PoolStats SnapshotCounters(OrderPool* pool) {
-  PoolStats stats;
-  stats.best_group_recomputes = pool->best_groups().recompute_count();
-  stats.groups_evaluated = pool->best_groups().groups_evaluated();
-  stats.planner_plans = pool->planner().plan_count();
-  stats.pair_tests = pool->graph().pair_tests();
-  stats.plan_cache_hits = pool->best_groups().plan_cache_hits();
-  stats.plan_cache_misses = pool->best_groups().plan_cache_misses();
-  stats.plan_cache_replans = pool->best_groups().plan_cache_replans();
-  stats.plan_cache_evictions = pool->best_groups().plan_cache_evictions();
-  stats.reverse_index_fanout = pool->best_groups().reverse_index_fanout();
-  return stats;
-}
-
-PoolStats CounterDelta(const PoolStats& after, const PoolStats& before) {
-  PoolStats delta;
-  delta.best_group_recomputes =
-      after.best_group_recomputes - before.best_group_recomputes;
-  delta.groups_evaluated = after.groups_evaluated - before.groups_evaluated;
-  delta.planner_plans = after.planner_plans - before.planner_plans;
-  delta.pair_tests = after.pair_tests - before.pair_tests;
-  delta.plan_cache_hits = after.plan_cache_hits - before.plan_cache_hits;
-  delta.plan_cache_misses = after.plan_cache_misses - before.plan_cache_misses;
-  delta.plan_cache_replans =
-      after.plan_cache_replans - before.plan_cache_replans;
-  delta.plan_cache_evictions =
-      after.plan_cache_evictions - before.plan_cache_evictions;
-  delta.reverse_index_fanout =
-      after.reverse_index_fanout - before.reverse_index_fanout;
-  return delta;
-}
-
 void EmitMicro(const char* name, int ops, double seconds,
-               const PoolStats& stats) {
-  char body[512];
+               const PoolStats& before, const PoolStats& after) {
+  char body[128];
   std::snprintf(body, sizeof(body),
-                "\"case\": \"%s\", \"ops\": %d, \"us_per_op\": %.3f, %s",
-                name, ops, seconds * 1e6 / ops,
-                PoolCounterFields(stats).c_str());
-  EmitRecord(body);
+                "\"case\": \"%s\", \"ops\": %d, \"us_per_op\": %.3f, ",
+                name, ops, seconds * 1e6 / ops);
+  EmitRecord(body + PoolCounterFields(after, before));
   std::printf("%-28s %-8s ops=%d plans=%lld us/op=%.1f\n", name, "-", ops,
-              static_cast<long long>(stats.planner_plans),
+              static_cast<long long>(after.planner_plans -
+                                     before.planner_plans),
               seconds * 1e6 / ops);
 }
 
@@ -188,7 +152,7 @@ void RunDepartureChurn() {
   std::vector<OrderId> ids = pool.SortedOrderIds();
   pool.RefreshBestGroups(ids, 600.0);  // Warm start outside the timed loop.
 
-  PoolStats before = SnapshotCounters(&pool);
+  PoolStats before = pool.Stats();
   Stopwatch watch;
   {
     ScopedTimer timer(&watch);
@@ -199,8 +163,8 @@ void RunDepartureChurn() {
       pool.RefreshBestGroups(live, 600.0);
     }
   }
-  PoolStats delta = CounterDelta(SnapshotCounters(&pool), before);
-  EmitMicro("micro_departure_churn", kOps, watch.ElapsedSeconds(), delta);
+  EmitMicro("micro_departure_churn", kOps, watch.ElapsedSeconds(), before,
+            pool.Stats());
 }
 
 // ---------------------------------------------------------------------------
@@ -216,7 +180,7 @@ void RunRepeatedAnchor() {
   pool.RefreshBestGroups(ids, 600.0);  // Warm start.
 
   constexpr int kRounds = 40;
-  PoolStats before = SnapshotCounters(&pool);
+  PoolStats before = pool.Stats();
   Stopwatch watch;
   {
     ScopedTimer timer(&watch);
@@ -225,10 +189,9 @@ void RunRepeatedAnchor() {
       pool.RefreshBestGroups(ids, 600.0);
     }
   }
-  PoolStats delta = CounterDelta(SnapshotCounters(&pool), before);
   EmitMicro("micro_repeated_anchor",
             kRounds * static_cast<int>(ids.size()), watch.ElapsedSeconds(),
-            delta);
+            before, pool.Stats());
 }
 
 }  // namespace

@@ -310,60 +310,17 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
       }
       results.back().push_back(algorithm.run(&*scenario));
       if (!BenchJson().path.empty()) {
-        const MetricsReport& r = results.back().back();
-        char record[2048];
-        std::snprintf(
-            record, sizeof(record),
-            "{\"figure\": \"%s\", \"dataset\": \"%s\", \"sweep\": \"%s\", "
-            "\"value\": %s, \"algorithm\": \"%s\", \"threads\": %d, "
-            "\"dispatch\": \"%s\", \"faults\": \"%s\", "
-            "\"served\": %lld, \"rejected\": %lld, "
-            "\"metrs_objective\": %.6g, \"unified_cost\": %.6g, "
-            "\"service_rate\": %.6g, \"running_time_per_order_us\": %.3f, "
-            "\"planner_plans\": %lld, \"pair_tests\": %lld, "
-            "\"recomputes\": %lld, \"groups_evaluated\": %lld, "
-            "\"plan_cache_hits\": %lld, \"plan_cache_misses\": %lld, "
-            "\"plan_cache_replans\": %lld, \"plan_cache_seeds\": %lld, "
-            "\"oracle_queries\": %lld, \"oracle_batches\": %lld, "
-            "\"oracle_batch_points\": %lld, "
-            "\"cancelled\": %lld, \"failed_services\": %lld, "
-            "\"fault_dropouts\": %lld, \"fault_midroute_dropouts\": %lld, "
-            "\"fault_late_dropouts\": %lld, \"fault_returns\": %lld, "
-            "\"fault_brownout_rounds\": %lld, "
-            "\"fault_recovered_orders\": %lld, "
-            "\"fault_aborted_commits\": %lld, \"shed_orders\": %lld, "
-            "\"degraded_rounds\": %lld, \"work_units\": %lld}",
-            figure.c_str(), DatasetName(dataset), sweep_label.c_str(),
-            std::to_string(value).c_str(), algorithm.name.c_str(),
-            BenchJson().threads, BenchJson().dispatch,
-            BenchJson().faults.c_str(),
-            static_cast<long long>(r.served),
-            static_cast<long long>(r.rejected), r.metrs_objective,
-            r.unified_cost, r.service_rate, r.running_time_per_order * 1e6,
-            static_cast<long long>(r.pool.planner_plans),
-            static_cast<long long>(r.pool.pair_tests),
-            static_cast<long long>(r.pool.best_group_recomputes),
-            static_cast<long long>(r.pool.groups_evaluated),
-            static_cast<long long>(r.pool.plan_cache_hits),
-            static_cast<long long>(r.pool.plan_cache_misses),
-            static_cast<long long>(r.pool.plan_cache_replans),
-            static_cast<long long>(r.pool.plan_cache_seeds),
-            static_cast<long long>(r.geo.queries),
-            static_cast<long long>(r.geo.batches),
-            static_cast<long long>(r.geo.batch_points),
-            static_cast<long long>(r.cancelled),
-            static_cast<long long>(r.failed_services),
-            static_cast<long long>(r.faults.dropouts),
-            static_cast<long long>(r.faults.midroute_dropouts),
-            static_cast<long long>(r.faults.late_dropouts),
-            static_cast<long long>(r.faults.returns),
-            static_cast<long long>(r.faults.brownout_rounds),
-            static_cast<long long>(r.faults.recovered_orders),
-            static_cast<long long>(r.faults.aborted_commits),
-            static_cast<long long>(r.faults.shed_orders),
-            static_cast<long long>(r.faults.degraded_rounds),
-            static_cast<long long>(r.faults.work_units));
-        BenchJson().records.emplace_back(record);
+        // The cell's keys, then every report field (metrics.h).
+        JsonSink& sink = BenchJson();
+        sink.records.push_back(
+            "{\"figure\": \"" + figure + "\", \"dataset\": \"" +
+            DatasetName(dataset) + "\", \"sweep\": \"" + sweep_label +
+            "\", \"value\": " + std::to_string(value) +
+            ", \"algorithm\": \"" + algorithm.name +
+            "\", \"threads\": " + std::to_string(sink.threads) +
+            ", \"dispatch\": \"" + sink.dispatch + "\", \"faults\": \"" +
+            sink.faults + "\", " + ReportFieldsJson(results.back().back()) +
+            "}");
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "src/core/metrics.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace watter {
@@ -82,64 +83,24 @@ MetricsReport MetricsCollector::Report() const {
   return report;
 }
 
+std::string ReportFieldsJson(const MetricsReport& report) {
+  std::ostringstream json;
+  const char* separator = "";
+  VisitFields(report, [&](const char* name, auto value) {
+    char buffer[32];
+    const char* end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
+    json << separator << '"' << name << "\": ";
+    json.write(buffer, end - buffer);
+    separator = ", ";
+  });
+  return json.str();
+}
+
 std::string MetricsReportJson(const MetricsReport& report) {
-  std::ostringstream os;
-  os.precision(9);
-  auto i64 = [&os](const char* name, int64_t value, const char* sep = ", ") {
-    os << "\"" << name << "\": " << value << sep;
-  };
-  auto f64 = [&os](const char* name, double value, const char* sep = ", ") {
-    os << "\"" << name << "\": " << value << sep;
-  };
-  os << "{";
-  // The bench_util record subset, same names and units.
-  i64("served", report.served);
-  i64("rejected", report.rejected);
-  f64("metrs_objective", report.metrs_objective);
-  f64("unified_cost", report.unified_cost);
-  f64("service_rate", report.service_rate);
-  f64("running_time_per_order_us", report.running_time_per_order * 1e6);
-  i64("planner_plans", report.pool.planner_plans);
-  i64("pair_tests", report.pool.pair_tests);
-  i64("recomputes", report.pool.best_group_recomputes);
-  i64("groups_evaluated", report.pool.groups_evaluated);
-  i64("plan_cache_hits", report.pool.plan_cache_hits);
-  i64("plan_cache_misses", report.pool.plan_cache_misses);
-  i64("plan_cache_replans", report.pool.plan_cache_replans);
-  i64("plan_cache_seeds", report.pool.plan_cache_seeds);
-  i64("oracle_queries", report.geo.queries);
-  i64("oracle_batches", report.geo.batches);
-  i64("oracle_batch_points", report.geo.batch_points);
-  // The rest of the report, under the MetricsReport field names.
-  f64("total_extra_time", report.total_extra_time);
-  f64("total_metrs_penalty", report.total_metrs_penalty);
-  f64("worker_travel", report.worker_travel);
-  f64("avg_extra", report.avg_extra);
-  f64("avg_response", report.avg_response);
-  f64("avg_detour", report.avg_detour);
-  f64("avg_group_size", report.avg_group_size);
-  f64("algorithm_seconds", report.algorithm_seconds);
-  f64("fleet_utilization", report.fleet_utilization);
-  i64("plan_cache_evictions", report.pool.plan_cache_evictions);
-  i64("reverse_index_fanout", report.pool.reverse_index_fanout);
-  f64("bucket_build_seconds", report.geo.bucket_build_seconds);
-  i64("offers", report.dispatch.offers);
-  i64("committed", report.dispatch.committed);
-  i64("worker_conflicts", report.dispatch.worker_conflicts);
-  i64("order_conflicts", report.dispatch.order_conflicts);
-  i64("cancelled", report.cancelled);
-  i64("failed_services", report.failed_services);
-  i64("fault_dropouts", report.faults.dropouts);
-  i64("fault_midroute_dropouts", report.faults.midroute_dropouts);
-  i64("fault_late_dropouts", report.faults.late_dropouts);
-  i64("fault_returns", report.faults.returns);
-  i64("fault_brownout_rounds", report.faults.brownout_rounds);
-  i64("fault_recovered_orders", report.faults.recovered_orders);
-  i64("fault_aborted_commits", report.faults.aborted_commits);
-  i64("shed_orders", report.faults.shed_orders);
-  i64("degraded_rounds", report.faults.degraded_rounds);
-  i64("work_units", report.faults.work_units, "}");
-  return os.str();
+  std::string json = "{";
+  json += ReportFieldsJson(report);
+  json += '}';
+  return json;
 }
 
 std::string MetricsReport::ToString() const {

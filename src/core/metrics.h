@@ -4,7 +4,9 @@
 #ifndef WATTER_CORE_METRICS_H_
 #define WATTER_CORE_METRICS_H_
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/types.h"
@@ -45,6 +47,8 @@ struct PoolStats {
   int64_t plan_cache_seeds = 0;       ///< Pair plans adopted from edge tests.
   int64_t plan_cache_evictions = 0;   ///< Entries dropped on member departure.
   int64_t reverse_index_fanout = 0;   ///< Owners dirtied via member->owners.
+
+  bool operator==(const PoolStats&) const = default;
 };
 
 /// Travel-time-oracle work counters of one run (filled by WatterPlatform
@@ -135,11 +139,107 @@ struct MetricsReport {
   std::string ToString() const;
 };
 
-/// Serializes a full report as one JSON object. Overlapping fields use the
-/// exact bench_util record names (served, metrs_objective, oracle_queries,
-/// running_time_per_order_us, ...) so `watter_cli --metrics-json` output
-/// and BENCH_*.json records diff with the same tooling; the remaining
-/// MetricsReport fields ride along under their struct names.
+// Field visitors: the one place a run counter or metric is named. Each calls
+// `visit(name, value)` once per field, with an int64_t or a double, under
+// its JSON / bench-record name. Every sink iterates them instead of listing
+// fields: --metrics-json, the fig-bench records, BENCH_pool.json, the CLI
+// counter table, the per-round timeline and the determinism tests.
+
+template <typename Visit>
+void VisitFields(const PoolStats& s, Visit&& visit) {
+  visit("recomputes", s.best_group_recomputes);
+  visit("groups_evaluated", s.groups_evaluated);
+  visit("planner_plans", s.planner_plans);
+  visit("pair_tests", s.pair_tests);
+  visit("plan_cache_hits", s.plan_cache_hits);
+  visit("plan_cache_misses", s.plan_cache_misses);
+  visit("plan_cache_replans", s.plan_cache_replans);
+  visit("plan_cache_seeds", s.plan_cache_seeds);
+  visit("plan_cache_evictions", s.plan_cache_evictions);
+  visit("reverse_index_fanout", s.reverse_index_fanout);
+}
+
+template <typename Visit>
+void VisitFields(const DispatchStats& s, Visit&& visit) {
+  visit("offers", s.offers);
+  visit("committed", s.committed);
+  visit("worker_conflicts", s.worker_conflicts);
+  visit("order_conflicts", s.order_conflicts);
+}
+
+template <typename Visit>
+void VisitFields(const FaultStats& s, Visit&& visit) {
+  visit("fault_dropouts", s.dropouts);
+  visit("fault_midroute_dropouts", s.midroute_dropouts);
+  visit("fault_late_dropouts", s.late_dropouts);
+  visit("fault_returns", s.returns);
+  visit("fault_brownout_rounds", s.brownout_rounds);
+  visit("fault_recovered_orders", s.recovered_orders);
+  visit("fault_aborted_commits", s.aborted_commits);
+  visit("shed_orders", s.shed_orders);
+  visit("degraded_rounds", s.degraded_rounds);
+  visit("work_units", s.work_units);
+}
+
+/// The three oracle counts only; bucket_build_seconds is wall-clock and is
+/// visited with the report's other timings.
+template <typename Visit>
+void VisitFields(const GeoStats& s, Visit&& visit) {
+  visit("oracle_queries", s.queries);
+  visit("oracle_batches", s.batches);
+  visit("oracle_batch_points", s.batch_points);
+}
+
+/// The determinism contract: every field that is bitwise identical across
+/// thread counts, tracing on/off and inert fault specs.
+template <typename Visit>
+void VisitExactFields(const MetricsReport& r, Visit&& visit) {
+  visit("served", r.served);
+  visit("rejected", r.rejected);
+  visit("cancelled", r.cancelled);
+  visit("failed_services", r.failed_services);
+  visit("metrs_objective", r.metrs_objective);
+  visit("unified_cost", r.unified_cost);
+  visit("service_rate", r.service_rate);
+  visit("total_extra_time", r.total_extra_time);
+  visit("total_metrs_penalty", r.total_metrs_penalty);
+  visit("worker_travel", r.worker_travel);
+  visit("avg_extra", r.avg_extra);
+  visit("avg_response", r.avg_response);
+  visit("avg_detour", r.avg_detour);
+  visit("avg_group_size", r.avg_group_size);
+  visit("fleet_utilization", r.fleet_utilization);
+  VisitFields(r.pool, visit);
+  VisitFields(r.dispatch, visit);
+  VisitFields(r.faults, visit);
+}
+
+/// Every report field: the exact ones, then the diagnostic oracle counts
+/// and the wall-clock timings.
+template <typename Visit>
+void VisitFields(const MetricsReport& r, Visit&& visit) {
+  VisitExactFields(r, visit);
+  VisitFields(r.geo, visit);
+  visit("bucket_build_seconds", r.geo.bucket_build_seconds);
+  visit("algorithm_seconds", r.algorithm_seconds);
+  visit("running_time_per_order_us", r.running_time_per_order * 1e6);
+}
+
+/// Every integer counter: the outcome counts and the pool, dispatch, fault
+/// and oracle groups. The timeline records one delta column per entry.
+template <typename Visit>
+void VisitCounters(const MetricsReport& r, Visit&& visit) {
+  VisitFields(r, [&visit](const char* name, auto value) {
+    if constexpr (std::is_same_v<decltype(value), int64_t>) visit(name, value);
+  });
+}
+
+/// The VisitFields pairs as `"name": value, ...` without braces, for
+/// records that prepend their own keys. Integers print as integers, doubles
+/// in the shortest form that reads back bit-identical.
+std::string ReportFieldsJson(const MetricsReport& report);
+
+/// The full report as one JSON object: `{` ReportFieldsJson `}`.
 std::string MetricsReportJson(const MetricsReport& report);
 
 /// Streams served/rejected order outcomes and produces a MetricsReport.

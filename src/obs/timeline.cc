@@ -10,65 +10,53 @@ namespace obs {
 
 namespace {
 
-// Field table shared by the JSON and CSV writers so the two stay in sync
-// (and so Totals() aggregates every field without a hand-maintained list).
-struct FieldDef {
+struct PhaseField {
   const char* name;
-  // Accessors; exactly one of the two is used per field.
-  int64_t RoundSample::*i64 = nullptr;
-  double RoundSample::*f64 = nullptr;
-  // How Totals() folds the column: sum, max, or keep-last.
-  enum class Fold { kSum, kMax, kLast } fold = Fold::kSum;
+  double RoundSample::*seconds;
 };
 
-constexpr FieldDef::Fold kSum = FieldDef::Fold::kSum;
-constexpr FieldDef::Fold kMax = FieldDef::Fold::kMax;
-constexpr FieldDef::Fold kLast = FieldDef::Fold::kLast;
-
-const FieldDef kFields[] = {
-    {"round", &RoundSample::round, nullptr, kLast},
-    {"now", nullptr, &RoundSample::now, kLast},
-    {"pool_size", &RoundSample::pool_size, nullptr, kMax},
-    {"shareability_edges", &RoundSample::shareability_edges, nullptr, kMax},
-    {"offers", &RoundSample::offers, nullptr, kSum},
-    {"committed", &RoundSample::committed, nullptr, kSum},
-    {"worker_conflicts", &RoundSample::worker_conflicts, nullptr, kSum},
-    {"order_conflicts", &RoundSample::order_conflicts, nullptr, kSum},
-    {"planner_plans", &RoundSample::planner_plans, nullptr, kSum},
-    {"pair_tests", &RoundSample::pair_tests, nullptr, kSum},
-    {"recomputes", &RoundSample::recomputes, nullptr, kSum},
-    {"plan_cache_hits", &RoundSample::plan_cache_hits, nullptr, kSum},
-    {"plan_cache_misses", &RoundSample::plan_cache_misses, nullptr, kSum},
-    {"geo_queries", &RoundSample::geo_queries, nullptr, kSum},
-    {"geo_batches", &RoundSample::geo_batches, nullptr, kSum},
-    {"fault_events", &RoundSample::fault_events, nullptr, kSum},
-    {"recovered", &RoundSample::recovered, nullptr, kSum},
-    {"failed", &RoundSample::failed, nullptr, kSum},
-    {"shed", &RoundSample::shed, nullptr, kSum},
-    {"degraded", &RoundSample::degraded, nullptr, kSum},
-    {"work_units", &RoundSample::work_units, nullptr, kSum},
-    {"maintenance_s", nullptr, &RoundSample::maintenance_s, kSum},
-    {"refresh_s", nullptr, &RoundSample::refresh_s, kSum},
-    {"propose_s", nullptr, &RoundSample::propose_s, kSum},
-    {"resolve_s", nullptr, &RoundSample::resolve_s, kSum},
-    {"commit_s", nullptr, &RoundSample::commit_s, kSum},
-    {"sweep_s", nullptr, &RoundSample::sweep_s, kSum},
-    {"total_s", nullptr, &RoundSample::total_s, kSum},
+constexpr PhaseField kPhases[] = {
+    {"maintenance_s", &RoundSample::maintenance_s},
+    {"refresh_s", &RoundSample::refresh_s},
+    {"propose_s", &RoundSample::propose_s},
+    {"resolve_s", &RoundSample::resolve_s},
+    {"commit_s", &RoundSample::commit_s},
+    {"sweep_s", &RoundSample::sweep_s},
+    {"total_s", &RoundSample::total_s},
 };
 
-void PrintSampleJson(std::FILE* f, const RoundSample& sample) {
-  std::fprintf(f, "{");
-  bool first = true;
-  for (const FieldDef& field : kFields) {
-    if (!first) std::fprintf(f, ", ");
-    first = false;
-    if (field.i64 != nullptr) {
-      std::fprintf(f, "\"%s\": %lld", field.name,
-                   static_cast<long long>(sample.*(field.i64)));
-    } else {
-      std::fprintf(f, "\"%s\": %.9g", field.name, sample.*(field.f64));
-    }
+// Calls emit(name, value) for every column of `sample` in export order:
+// state, counters, phase times. Shared by the JSON and CSV writers so the
+// two stay in sync.
+template <typename Emit>
+void ForEachColumn(const std::vector<std::string>& counter_names,
+                   const RoundSample& sample, Emit&& emit) {
+  emit("round", sample.round);
+  emit("now", sample.now);
+  emit("pool_size", sample.pool_size);
+  emit("shareability_edges", sample.shareability_edges);
+  for (size_t i = 0; i < counter_names.size(); ++i) {
+    emit(counter_names[i].c_str(), sample.counters[i]);
   }
+  for (const PhaseField& phase : kPhases) {
+    emit(phase.name, sample.*phase.seconds);
+  }
+}
+
+void PrintValue(std::FILE* f, int64_t value) {
+  std::fprintf(f, "%lld", static_cast<long long>(value));
+}
+
+void PrintValue(std::FILE* f, double value) { std::fprintf(f, "%.9g", value); }
+
+void PrintSampleJson(std::FILE* f, const std::vector<std::string>& names,
+                     const RoundSample& sample) {
+  const char* separator = "{";
+  ForEachColumn(names, sample, [&](const char* name, auto value) {
+    std::fprintf(f, "%s\"%s\": ", separator, name);
+    PrintValue(f, value);
+    separator = ", ";
+  });
   std::fprintf(f, "}");
 }
 
@@ -77,34 +65,17 @@ void PrintSampleJson(std::FILE* f, const RoundSample& sample) {
 RoundSample TimelineSampler::Totals() const {
   RoundSample totals;
   totals.round = static_cast<int64_t>(samples_.size());
+  totals.counters.assign(counter_names_.size(), 0);
   for (const RoundSample& sample : samples_) {
-    for (const FieldDef& field : kFields) {
-      if (field.i64 == &RoundSample::round) continue;  // Holds the count.
-      switch (field.fold) {
-        case FieldDef::Fold::kSum:
-          if (field.i64 != nullptr) {
-            totals.*(field.i64) += sample.*(field.i64);
-          } else {
-            totals.*(field.f64) += sample.*(field.f64);
-          }
-          break;
-        case FieldDef::Fold::kMax:
-          if (field.i64 != nullptr) {
-            totals.*(field.i64) =
-                std::max(totals.*(field.i64), sample.*(field.i64));
-          } else {
-            totals.*(field.f64) =
-                std::max(totals.*(field.f64), sample.*(field.f64));
-          }
-          break;
-        case FieldDef::Fold::kLast:
-          if (field.i64 != nullptr) {
-            totals.*(field.i64) = sample.*(field.i64);
-          } else {
-            totals.*(field.f64) = sample.*(field.f64);
-          }
-          break;
-      }
+    totals.now = sample.now;
+    totals.pool_size = std::max(totals.pool_size, sample.pool_size);
+    totals.shareability_edges =
+        std::max(totals.shareability_edges, sample.shareability_edges);
+    for (size_t i = 0; i < totals.counters.size(); ++i) {
+      totals.counters[i] += sample.counters[i];
+    }
+    for (const PhaseField& phase : kPhases) {
+      totals.*phase.seconds += sample.*phase.seconds;
     }
   }
   return totals;
@@ -116,10 +87,10 @@ bool TimelineSampler::WriteJson(const std::string& path) const {
   std::fprintf(f, "{\"rounds\": [\n");
   for (size_t i = 0; i < samples_.size(); ++i) {
     if (i > 0) std::fprintf(f, ",\n");
-    PrintSampleJson(f, samples_[i]);
+    PrintSampleJson(f, counter_names_, samples_[i]);
   }
   std::fprintf(f, "\n],\n\"totals\": ");
-  PrintSampleJson(f, Totals());
+  PrintSampleJson(f, counter_names_, Totals());
   // When the latency registry ran alongside the timeline, fold its
   // summaries into the same file so one artifact tells the whole story.
   std::fprintf(f, ",\n\"histograms\": [");
@@ -142,25 +113,22 @@ bool TimelineSampler::WriteJson(const std::string& path) const {
 bool TimelineSampler::WriteCsv(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  bool first = true;
-  for (const FieldDef& field : kFields) {
-    std::fprintf(f, "%s%s", first ? "" : ",", field.name);
-    first = false;
+  // The header row: column names only, so any sample with a full counter
+  // vector serves.
+  const char* separator = "";
+  ForEachColumn(counter_names_, Totals(), [&](const char* name, auto) {
+    std::fprintf(f, "%s%s", separator, name);
+    separator = ",";
+  });
+  for (const RoundSample& sample : samples_) {
+    separator = "\n";
+    ForEachColumn(counter_names_, sample, [&](const char*, auto value) {
+      std::fprintf(f, "%s", separator);
+      PrintValue(f, value);
+      separator = ",";
+    });
   }
   std::fprintf(f, "\n");
-  for (const RoundSample& sample : samples_) {
-    first = true;
-    for (const FieldDef& field : kFields) {
-      if (!first) std::fprintf(f, ",");
-      first = false;
-      if (field.i64 != nullptr) {
-        std::fprintf(f, "%lld", static_cast<long long>(sample.*(field.i64)));
-      } else {
-        std::fprintf(f, "%.9g", sample.*(field.f64));
-      }
-    }
-    std::fprintf(f, "\n");
-  }
   std::fclose(f);
   return true;
 }

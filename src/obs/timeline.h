@@ -1,29 +1,31 @@
 // TimelineSampler: one RoundSample per platform check round, capturing what
 // the simulation looked like (pool size, shareability edges),
-// what the round did (offers, commits, conflicts, counter deltas), and where
+// what the round did (one delta column per report counter), and where
 // its wall-clock went (per-phase durations). Exported as JSON or CSV via
 // `--timeline FILE`; schema documented in docs/OBSERVABILITY.md.
 //
-// Unlike the trace (every span, per thread), the timeline is a fixed ~200
-// bytes per round regardless of scale, so it is the right tool for the
-// paper-scale 125k/6k profile where a full trace would be gigabytes.
+// Unlike the trace (every span, per thread), the timeline is a fixed few
+// hundred bytes per round regardless of scale, so it is the right tool for
+// paper-scale profiles where a full trace would be gigabytes.
 //
-// Fields are plain integers/doubles (no core/metrics.h types) so obs stays
-// below core in the module DAG — core links obs for the plan-latency
-// histogram, so obs including core headers would be a cycle.
+// The counter columns are named by the platform at construction (metrics.h,
+// VisitCounters), so obs stays below core in the module DAG — core links
+// obs for the plan-latency histogram, so obs including core headers would
+// be a cycle.
 #ifndef WATTER_OBS_TIMELINE_H_
 #define WATTER_OBS_TIMELINE_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace watter {
 namespace obs {
 
 /// Everything recorded about one check round. Wall-clock fields (`*_s`) are
-/// diagnostic only; every other field is covered by the determinism
-/// contract (bitwise identical across threads/backends/tracing).
+/// diagnostic only; the counter columns the report marks exact (metrics.h,
+/// VisitExactFields) are bitwise identical across threads and tracing.
 struct RoundSample {
   int64_t round = 0;
   double now = 0.0;  ///< Simulation time of the check (seconds).
@@ -32,32 +34,9 @@ struct RoundSample {
   int64_t pool_size = 0;
   int64_t shareability_edges = 0;
 
-  // What the round's decision loop did.
-  int64_t offers = 0;
-  int64_t committed = 0;
-  int64_t worker_conflicts = 0;
-  int64_t order_conflicts = 0;
-
-  // Deltas of the cumulative Pool/Geo counters over this round.
-  int64_t planner_plans = 0;
-  int64_t pair_tests = 0;
-  int64_t recomputes = 0;
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
-  int64_t geo_queries = 0;
-  int64_t geo_batches = 0;
-
-  // Robustness columns (docs/ROBUSTNESS.md) — all zero when fault injection
-  // and the work budget are off. fault_events counts the dropout/return
-  // events applied this round; degraded is 1 while a brownout window
-  // is open; failed is the per-round delta of the failed-service count;
-  // the rest are per-round deltas of the FaultStats counters.
-  int64_t fault_events = 0;
-  int64_t recovered = 0;   ///< Aboard orders re-pooled after dropouts.
-  int64_t failed = 0;      ///< Aboard orders failed terminally.
-  int64_t shed = 0;        ///< Orders shed by the work budget.
-  int64_t degraded = 0;    ///< 1 = round ran under a brownout.
-  int64_t work_units = 0;  ///< Work units charged by the budget pass.
+  /// This round's delta of each report counter, in the order of
+  /// TimelineSampler::counter_names().
+  std::vector<int64_t> counters;
 
   // Per-phase wall-clock (seconds). The serial engine folds its whole
   // decision loop into commit_s (it has no propose/resolve split).
@@ -74,8 +53,18 @@ struct RoundSample {
 /// only writer) and exports them. Also aggregates totals for benches.
 class TimelineSampler {
  public:
-  void Record(const RoundSample& sample) { samples_.push_back(sample); }
+  explicit TimelineSampler(std::vector<std::string> counter_names)
+      : counter_names_(std::move(counter_names)) {}
 
+  /// Stores `sample`, its counters padded or cut to one per column.
+  void Record(RoundSample sample) {
+    sample.counters.resize(counter_names_.size());
+    samples_.push_back(std::move(sample));
+  }
+
+  const std::vector<std::string>& counter_names() const {
+    return counter_names_;
+  }
   const std::vector<RoundSample>& samples() const { return samples_; }
 
   /// Column-wise sums (round holds the count, now the last sim time,
@@ -90,6 +79,7 @@ class TimelineSampler {
   bool WriteCsv(const std::string& path) const;
 
  private:
+  std::vector<std::string> counter_names_;
   std::vector<RoundSample> samples_;
 };
 

@@ -31,4 +31,17 @@ void OrderPool::ExpireEdges(Time now) {
   }
 }
 
+PoolStats OrderPool::Stats() const {
+  return {.best_group_recomputes = best_.recompute_count(),
+          .groups_evaluated = best_.groups_evaluated(),
+          .planner_plans = planner_.plan_count(),
+          .pair_tests = graph_.pair_tests(),
+          .plan_cache_hits = best_.plan_cache_hits(),
+          .plan_cache_misses = best_.plan_cache_misses(),
+          .plan_cache_replans = best_.plan_cache_replans(),
+          .plan_cache_seeds = best_.plan_cache_seeds(),
+          .plan_cache_evictions = best_.plan_cache_evictions(),
+          .reverse_index_fanout = best_.reverse_index_fanout()};
+}
+
 }  // namespace watter

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
+#include "src/core/metrics.h"
 #include "src/core/route_planner.h"
 #include "src/core/types.h"
 #include "src/geo/travel_time_oracle.h"
@@ -97,6 +98,9 @@ class OrderPool {
   }
 
   size_t size() const { return graph_.size(); }
+
+  /// The pool's cumulative work counters (metrics.h, PoolStats).
+  PoolStats Stats() const;
 
   const ShareabilityGraph& graph() const { return graph_; }
   BestGroupMap& best_groups() { return best_; }

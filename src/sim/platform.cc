@@ -136,7 +136,12 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
                        ? options_.timeline_path
                        : scenario->options.timeline_path;
   if (!timeline_path_.empty()) {
-    timeline_ = std::make_unique<obs::TimelineSampler>();
+    std::vector<std::string> columns;
+    VisitCounters(MetricsReport{}, [&columns](const char* name, int64_t) {
+      columns.emplace_back(name);
+    });
+    counter_base_.assign(columns.size(), 0);
+    timeline_ = std::make_unique<obs::TimelineSampler>(std::move(columns));
     sampling_ = true;
   }
 }
@@ -766,46 +771,12 @@ void WatterPlatform::FinishRoundSample(Time now, double total_seconds) {
   sample.pool_size = static_cast<int64_t>(pool_.size());
   sample.shareability_edges = pool_.graph().edge_count();
 
-  // Per-round deltas of the cumulative counters; counter_base_ reuses the
-  // sample fields to hold the previous round's cumulative values.
-  const auto delta = [](int64_t current, int64_t& base) {
-    int64_t d = current - base;
-    base = current;
-    return d;
-  };
-  obs::RoundSample& base = counter_base_;
-  sample.offers = delta(dispatch_stats_.offers, base.offers);
-  sample.committed = delta(dispatch_stats_.committed, base.committed);
-  sample.worker_conflicts =
-      delta(dispatch_stats_.worker_conflicts, base.worker_conflicts);
-  sample.order_conflicts =
-      delta(dispatch_stats_.order_conflicts, base.order_conflicts);
-  sample.planner_plans =
-      delta(pool_.planner().plan_count(), base.planner_plans);
-  sample.pair_tests = delta(pool_.graph().pair_tests(), base.pair_tests);
-  sample.recomputes =
-      delta(pool_.best_groups().recompute_count(), base.recomputes);
-  sample.plan_cache_hits =
-      delta(pool_.best_groups().plan_cache_hits(), base.plan_cache_hits);
-  sample.plan_cache_misses =
-      delta(pool_.best_groups().plan_cache_misses(), base.plan_cache_misses);
-  sample.geo_queries = delta(scenario_->oracle->query_count(),
-                             base.geo_queries);
-  sample.geo_batches = delta(scenario_->oracle->batch_count(),
-                             base.geo_batches);
-  // Robustness columns: deltas of the cumulative fault counters, plus the
-  // current brownout state. All stay zero when faults/budget are off.
-  sample.fault_events = delta(fault_stats_.dropouts +
-                                  fault_stats_.late_dropouts +
-                                  fault_stats_.returns,
-                              base.fault_events);
-  sample.recovered = delta(fault_stats_.recovered_orders, base.recovered);
-  sample.failed = delta(metrics_.failed_count(), base.failed);
-  sample.shed = delta(fault_stats_.shed_orders, base.shed);
-  sample.degraded = brownout_depth_ > 0 ? 1 : 0;
-  sample.work_units = delta(fault_stats_.work_units, base.work_units);
-
-  timeline_->Record(sample);
+  // Per-round deltas of every cumulative report counter.
+  size_t column = 0;
+  VisitCounters(CurrentReport(), [&](const char*, int64_t value) {
+    sample.counters.push_back(value - counter_base_[column]);
+    counter_base_[column++] = value;
+  });
 
   // Phase-duration histograms ride on the same sampling pass (the registry
   // is armed whenever a trace or timeline was requested).
@@ -816,6 +787,7 @@ void WatterPlatform::FinishRoundSample(Time now, double total_seconds) {
   obs::RecordLatency("round.resolve_s", sample.resolve_s, 60.0);
   obs::RecordLatency("round.commit_s", sample.commit_s, 60.0);
   obs::RecordLatency("round.sweep_s", sample.sweep_s, 60.0);
+  timeline_->Record(std::move(sample));
 }
 
 MetricsReport WatterPlatform::Run() {
@@ -863,35 +835,7 @@ MetricsReport WatterPlatform::Run() {
     }
   }
   metrics_.AddAlgorithmTime(algorithm_time.ElapsedSeconds());
-  MetricsReport report = metrics_.Report();
-  // Pool-side work counters: deterministic for a fixed scenario, so bench
-  // baselines can diff them across PRs (docs/PERFORMANCE.md).
-  report.pool.best_group_recomputes = pool_.best_groups().recompute_count();
-  report.pool.groups_evaluated = pool_.best_groups().groups_evaluated();
-  report.pool.planner_plans = pool_.planner().plan_count();
-  report.pool.pair_tests = pool_.graph().pair_tests();
-  report.pool.plan_cache_hits = pool_.best_groups().plan_cache_hits();
-  report.pool.plan_cache_misses = pool_.best_groups().plan_cache_misses();
-  report.pool.plan_cache_replans = pool_.best_groups().plan_cache_replans();
-  report.pool.plan_cache_evictions =
-      pool_.best_groups().plan_cache_evictions();
-  report.pool.plan_cache_seeds = pool_.best_groups().plan_cache_seeds();
-  report.pool.reverse_index_fanout =
-      pool_.best_groups().reverse_index_fanout();
-  // Oracle-side counters: diagnostic only (racy increments, backend-specific
-  // totals); cumulative since oracle construction, so they include scenario
-  // generation's shortest-cost sampling.
-  const TravelTimeOracle& oracle = *scenario_->oracle;
-  report.geo.queries = oracle.query_count();
-  report.geo.batches = oracle.batch_count();
-  report.geo.batch_points = oracle.batch_points();
-  report.geo.bucket_build_seconds = oracle.bucket_build_seconds();
-  // Batched-engine counters (zero under kSerial), deterministic across
-  // thread counts (metrics.h).
-  report.dispatch = dispatch_stats_;
-  // Fault/degradation counters (all zero when faults and the budget are
-  // off), all deterministic (metrics.h).
-  report.faults = fault_stats_;
+  MetricsReport report = CurrentReport();
 
   // Export the observability artifacts last, after the pool's final
   // fan-in — every traced thread has synchronized with this one, so the
@@ -913,6 +857,20 @@ MetricsReport WatterPlatform::Run() {
     std::fprintf(stderr, "warning: could not write trace to %s\n",
                  trace_path_.c_str());
   }
+  return report;
+}
+
+MetricsReport WatterPlatform::CurrentReport() const {
+  MetricsReport report = metrics_.Report();
+  report.pool = pool_.Stats();
+  // Oracle-side counters: diagnostic only (racy increments, backend-specific
+  // totals); cumulative since oracle construction, so they include scenario
+  // generation's shortest-cost sampling.
+  const TravelTimeOracle& oracle = *scenario_->oracle;
+  report.geo = {oracle.query_count(), oracle.batch_count(),
+                oracle.batch_points(), oracle.bucket_build_seconds()};
+  report.dispatch = dispatch_stats_;
+  report.faults = fault_stats_;
   return report;
 }
 

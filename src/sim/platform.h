@@ -246,10 +246,14 @@ class WatterPlatform {
   std::vector<OrderId> BudgetedIds(const std::vector<OrderId>& ids, Time now);
   void Observe(const Order& order, Time now, int action, bool expired,
                double detour);
-  /// Closes the current RoundSample: end-of-round state, dispatch/counter
-  /// deltas, and the phase durations the decision loops stamped into
-  /// `round_sample_`. No-op unless the timeline sampler is active.
+  /// Closes the current RoundSample: end-of-round state, the round's delta
+  /// of every report counter, and the phase durations the decision loops
+  /// stamped into `round_sample_`. No-op unless the timeline sampler is
+  /// active.
   void FinishRoundSample(Time now, double total_seconds);
+  /// The run's report so far: the metrics plus the pool, oracle, dispatch
+  /// and fault counters. Run() returns it.
+  MetricsReport CurrentReport() const;
 
   Scenario* scenario_;
   ThresholdProvider* provider_;
@@ -285,14 +289,14 @@ class WatterPlatform {
   // path; see docs/OBSERVABILITY.md). The sampler is allocated up front so
   // `sampling_` is one bool test on the round path; `round_sample_` is the
   // in-progress sample the decision loops stamp phase durations into, and
-  // `counter_base_` holds the previous round's cumulative counters so each
-  // sample carries per-round deltas.
+  // `counter_base_` holds the previous round's cumulative counters
+  // (metrics.h, VisitCounters) so each sample carries per-round deltas.
   std::string trace_path_;
   std::string timeline_path_;
   bool sampling_ = false;
   std::unique_ptr<obs::TimelineSampler> timeline_;
   obs::RoundSample round_sample_;
-  obs::RoundSample counter_base_;
+  std::vector<int64_t> counter_base_;
   int64_t round_counter_ = 0;
   GridIndex demand_pickup_index_;
   GridIndex demand_dropoff_index_;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <set>
+#include <string>
+
 #include "src/core/metrics.h"
 
 namespace watter {
@@ -108,6 +113,54 @@ TEST(MetricsTest, OrderHelperAccessors) {
   EXPECT_DOUBLE_EQ(o.Penalty(), 450.0);
   EXPECT_DOUBLE_EQ(o.LatestDispatch(), 500.0);
   EXPECT_DOUBLE_EQ(o.WaitDeadline(), 130.0);
+}
+
+// Field visitors (metrics.h): the one list every sink iterates.
+
+// Calls to the visitor of one stats struct.
+template <typename Stats>
+size_t VisitCount() {
+  size_t count = 0;
+  VisitFields(Stats{}, [&count](const char*, int64_t) { ++count; });
+  return count;
+}
+
+TEST(ReportFieldsTest, FieldNamesAreUnique) {
+  std::set<std::string> names;
+  size_t count = 0;
+  VisitFields(MetricsReport{}, [&](const char* name, auto) {
+    names.insert(name);
+    ++count;
+  });
+  EXPECT_EQ(count, 45u);
+  EXPECT_EQ(names.size(), count);
+}
+
+TEST(ReportFieldsTest, EveryStatsMemberIsVisited) {
+  // A member added without its visitor line fails here.
+  EXPECT_EQ(VisitCount<PoolStats>(), sizeof(PoolStats) / sizeof(int64_t));
+  EXPECT_EQ(VisitCount<DispatchStats>(),
+            sizeof(DispatchStats) / sizeof(int64_t));
+  EXPECT_EQ(VisitCount<FaultStats>(), sizeof(FaultStats) / sizeof(int64_t));
+}
+
+TEST(ReportFieldsTest, JsonIntegersAndExactDoubles) {
+  MetricsReport report;
+  report.served = 123;
+  report.metrs_objective = 0.1 + 0.2;
+  const std::string json = MetricsReportJson(report);
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_EQ(json.compare(1, json.size() - 2, ReportFieldsJson(report)), 0);
+  EXPECT_NE(json.find("\"served\": 123, "), std::string::npos);
+
+  const char* key = "\"metrs_objective\": ";
+  const size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const double parsed = std::strtod(json.c_str() + at + std::strlen(key),
+                                    nullptr);
+  EXPECT_EQ(parsed, 0.1 + 0.2);  // Bit-identical, not merely close.
+  EXPECT_NE(parsed, 0.3);
 }
 
 }  // namespace

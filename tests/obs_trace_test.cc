@@ -150,35 +150,37 @@ TEST_F(TraceRecorderTest, ExportsLoadableChromeTraceJson) {
 }
 
 TEST(TimelineSamplerTest, TotalsFoldSumMaxAndLast) {
-  TimelineSampler sampler;
+  TimelineSampler sampler({"offers"});
   RoundSample a;
   a.round = 1;
   a.now = 10.0;
   a.pool_size = 5;
-  a.offers = 3;
+  a.counters = {3};
   a.refresh_s = 0.25;
   RoundSample b;
   b.round = 2;
   b.now = 20.0;
   b.pool_size = 2;
-  b.offers = 4;
+  b.counters = {4};
   b.refresh_s = 0.5;
   sampler.Record(a);
   sampler.Record(b);
 
   RoundSample totals = sampler.Totals();
-  EXPECT_EQ(totals.round, 2);           // kLast: sample count.
-  EXPECT_EQ(totals.now, 20.0);          // kLast.
-  EXPECT_EQ(totals.pool_size, 5);       // kMax.
-  EXPECT_EQ(totals.offers, 7);          // kSum.
-  EXPECT_DOUBLE_EQ(totals.refresh_s, 0.75);  // kSum.
+  EXPECT_EQ(totals.round, 2);           // Sample count.
+  EXPECT_EQ(totals.now, 20.0);          // Last.
+  EXPECT_EQ(totals.pool_size, 5);       // Max.
+  ASSERT_EQ(sampler.counter_names(), std::vector<std::string>{"offers"});
+  EXPECT_EQ(totals.counters, std::vector<int64_t>{7});  // Sum.
+  EXPECT_DOUBLE_EQ(totals.refresh_s, 0.75);             // Sum.
 }
 
 TEST(TimelineSamplerTest, WritesJsonAndCsv) {
-  TimelineSampler sampler;
+  TimelineSampler sampler({"offers"});
   RoundSample sample;
   sample.round = 1;
   sample.pool_size = 3;
+  sample.counters = {4};
   sampler.Record(sample);
 
   auto slurp = [](const std::string& path) {
@@ -201,12 +203,14 @@ TEST(TimelineSamplerTest, WritesJsonAndCsv) {
   EXPECT_NE(json.find("\"rounds\""), std::string::npos);
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_NE(json.find("\"pool_size\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"offers\": 4"), std::string::npos);
 
   std::string csv_path = ::testing::TempDir() + "/obs_timeline.csv";
   ASSERT_TRUE(sampler.WriteCsv(csv_path));
   std::string csv = slurp(csv_path);
   EXPECT_EQ(csv.compare(0, 6, "round,"), 0);
   EXPECT_NE(csv.find("pool_size"), std::string::npos);
+  EXPECT_NE(csv.find(",offers,"), std::string::npos);
 }
 
 TEST(HistogramRegistryTest, DisabledRecordsNothingEnabledAggregates) {

@@ -24,6 +24,7 @@
 #include "src/sim/platform.h"
 #include "src/strategy/threshold_provider.h"
 #include "src/workload/scenario.h"
+#include "tests/test_util.h"
 
 namespace watter {
 namespace {
@@ -262,35 +263,14 @@ void ExpectConserved(const RunOutcome& outcome) {
   EXPECT_LE(faults.midroute_dropouts, faults.dropouts + faults.late_dropouts);
 }
 
-// Bitwise equality on everything except wall-clock timings (the same
-// exclusion as the faultless determinism suites), plus the fault counters.
+// Bitwise equality on the determinism contract (metrics.h,
+// VisitExactFields): outcomes, exact doubles, and the pool, dispatch and
+// fault counters.
 void ExpectIdentical(const RunOutcome& reference, const RunOutcome& candidate,
                      const std::string& label) {
   SCOPED_TRACE(label);
-  const MetricsReport& a = reference.report;
-  const MetricsReport& b = candidate.report;
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.cancelled, b.cancelled);
-  EXPECT_EQ(a.failed_services, b.failed_services);
-  EXPECT_EQ(a.total_extra_time, b.total_extra_time);
-  EXPECT_EQ(a.total_metrs_penalty, b.total_metrs_penalty);
-  EXPECT_EQ(a.metrs_objective, b.metrs_objective);
-  EXPECT_EQ(a.worker_travel, b.worker_travel);
-  EXPECT_EQ(a.unified_cost, b.unified_cost);
-  EXPECT_EQ(a.service_rate, b.service_rate);
-  EXPECT_EQ(a.avg_extra, b.avg_extra);
-  EXPECT_EQ(a.avg_response, b.avg_response);
-  EXPECT_EQ(a.faults.dropouts, b.faults.dropouts);
-  EXPECT_EQ(a.faults.midroute_dropouts, b.faults.midroute_dropouts);
-  EXPECT_EQ(a.faults.late_dropouts, b.faults.late_dropouts);
-  EXPECT_EQ(a.faults.returns, b.faults.returns);
-  EXPECT_EQ(a.faults.brownout_rounds, b.faults.brownout_rounds);
-  EXPECT_EQ(a.faults.recovered_orders, b.faults.recovered_orders);
-  EXPECT_EQ(a.faults.aborted_commits, b.faults.aborted_commits);
-  EXPECT_EQ(a.faults.shed_orders, b.faults.shed_orders);
-  EXPECT_EQ(a.faults.degraded_rounds, b.faults.degraded_rounds);
-  EXPECT_EQ(a.faults.work_units, b.faults.work_units);
+  EXPECT_EQ(testutil::ExactFields(reference.report),
+            testutil::ExactFields(candidate.report));
   EXPECT_EQ(reference.served, candidate.served);
   EXPECT_EQ(reference.expired, candidate.expired);
 }

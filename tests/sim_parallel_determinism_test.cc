@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -26,6 +27,7 @@
 #include "src/sim/platform.h"
 #include "src/strategy/threshold_provider.h"
 #include "src/workload/scenario.h"
+#include "tests/test_util.h"
 
 namespace watter {
 namespace {
@@ -34,6 +36,10 @@ struct RunOutcome {
   MetricsReport report;
   std::set<OrderId> served;
   std::set<OrderId> expired;
+  // The per-round timeline of a traced run (empty otherwise).
+  std::vector<std::string> counter_names;
+  std::vector<obs::RoundSample> rounds;
+  obs::RoundSample totals;
 };
 
 WorkloadOptions DeterminismWorkload(uint64_t seed) {
@@ -53,10 +59,12 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
                           OracleKind oracle = OracleKind::kMatrix,
                           GeoBackend geo = GeoBackend::kBucket,
                           bool traced = false,
-                          const std::string& faults = "") {
+                          const std::string& faults = "",
+                          int64_t budget = 0) {
   WorkloadOptions workload = DeterminismWorkload(seed);
   workload.oracle = oracle;
   workload.geo = geo;
+  workload.round_work_budget = budget;
   auto scenario = GenerateScenario(workload);
   EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
   if (!scenario.ok()) return {};
@@ -84,6 +92,9 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
   });
   outcome.report = platform.Run();
   if (traced) {
+    outcome.counter_names = platform.timeline()->counter_names();
+    outcome.rounds = platform.timeline()->samples();
+    outcome.totals = platform.timeline()->Totals();
     // A traced Run() leaves the process-global sinks armed (they accumulate
     // by design); disarm and drop them so later runs in this binary really
     // are trace-off, and so buffers do not grow across the matrix.
@@ -97,44 +108,34 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
   return outcome;
 }
 
-// Bitwise equality on everything except wall-clock timings.
+// Bitwise equality on the determinism contract (metrics.h,
+// VisitExactFields), which leaves out wall-clock and oracle counts.
 void ExpectIdentical(const RunOutcome& reference, const RunOutcome& candidate,
                      int threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
-  const MetricsReport& a = reference.report;
-  const MetricsReport& b = candidate.report;
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.total_extra_time, b.total_extra_time);
-  EXPECT_EQ(a.total_metrs_penalty, b.total_metrs_penalty);
-  EXPECT_EQ(a.metrs_objective, b.metrs_objective);
-  EXPECT_EQ(a.worker_travel, b.worker_travel);
-  EXPECT_EQ(a.unified_cost, b.unified_cost);
-  EXPECT_EQ(a.service_rate, b.service_rate);
-  EXPECT_EQ(a.avg_extra, b.avg_extra);
-  EXPECT_EQ(a.avg_response, b.avg_response);
-  EXPECT_EQ(a.avg_detour, b.avg_detour);
-  EXPECT_EQ(a.avg_group_size, b.avg_group_size);
-  EXPECT_EQ(a.fleet_utilization, b.fleet_utilization);
-  // Pool work counters are thread-count-independent (metrics.h, PoolStats);
-  // BENCH_pool.json and the benchmark's replay check rely on it.
-  EXPECT_EQ(a.pool.best_group_recomputes, b.pool.best_group_recomputes);
-  EXPECT_EQ(a.pool.groups_evaluated, b.pool.groups_evaluated);
-  EXPECT_EQ(a.pool.planner_plans, b.pool.planner_plans);
-  EXPECT_EQ(a.pool.pair_tests, b.pool.pair_tests);
-  EXPECT_EQ(a.pool.plan_cache_hits, b.pool.plan_cache_hits);
-  EXPECT_EQ(a.pool.plan_cache_misses, b.pool.plan_cache_misses);
-  EXPECT_EQ(a.pool.plan_cache_replans, b.pool.plan_cache_replans);
-  EXPECT_EQ(a.pool.plan_cache_seeds, b.pool.plan_cache_seeds);
-  EXPECT_EQ(a.pool.plan_cache_evictions, b.pool.plan_cache_evictions);
-  EXPECT_EQ(a.pool.reverse_index_fanout, b.pool.reverse_index_fanout);
-  // Batched-engine offer/outcome totals are thread-count-independent too.
-  EXPECT_EQ(a.dispatch.offers, b.dispatch.offers);
-  EXPECT_EQ(a.dispatch.committed, b.dispatch.committed);
-  EXPECT_EQ(a.dispatch.worker_conflicts, b.dispatch.worker_conflicts);
-  EXPECT_EQ(a.dispatch.order_conflicts, b.dispatch.order_conflicts);
+  EXPECT_EQ(testutil::ExactFields(reference.report),
+            testutil::ExactFields(candidate.report));
   EXPECT_EQ(reference.served, candidate.served);
   EXPECT_EQ(reference.expired, candidate.expired);
+}
+
+// The traced run's per-round columns of the exact counters, by name. The
+// oracle_* columns are diagnostic and stay out.
+std::map<std::string, std::vector<int64_t>> ExactColumns(
+    const RunOutcome& outcome) {
+  std::set<std::string> exact;
+  VisitExactFields(MetricsReport{}, [&exact](const char* name, auto) {
+    exact.insert(name);
+  });
+  std::map<std::string, std::vector<int64_t>> columns;
+  for (size_t c = 0; c < outcome.counter_names.size(); ++c) {
+    if (exact.count(outcome.counter_names[c]) == 0) continue;
+    std::vector<int64_t>& column = columns[outcome.counter_names[c]];
+    for (const obs::RoundSample& sample : outcome.rounds) {
+      column.push_back(sample.counters[c]);
+    }
+  }
+  return columns;
 }
 
 // Parameterized over (seed, dispatch engine): each engine must be a pure
@@ -260,13 +261,18 @@ TEST_P(TraceDeterminismTest, TracedRunsMatchUntracedBitwise) {
   ASSERT_GT(reference.report.served, 0);
   ASSERT_FALSE(reference.served.empty());
   SCOPED_TRACE("traced");
+  std::vector<RunOutcome> traced;
   for (int threads : {1, 8}) {
-    ExpectIdentical(reference,
-                    RunWithThreads(seed(), threads, 0.0, dispatch(),
-                                   OracleKind::kMatrix, GeoBackend::kBucket,
-                                   /*traced=*/true),
-                    threads);
+    traced.push_back(RunWithThreads(seed(), threads, 0.0, dispatch(),
+                                    OracleKind::kMatrix, GeoBackend::kBucket,
+                                    /*traced=*/true));
+    ExpectIdentical(reference, traced.back(), threads);
   }
+  // The timeline's exact counter columns are deterministic round by round
+  // (timeline.h), not only in total.
+  ASSERT_FALSE(traced[0].rounds.empty());
+  EXPECT_EQ(ExactColumns(traced[0]).size(), 28u);
+  EXPECT_EQ(ExactColumns(traced[0]), ExactColumns(traced[1]));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -329,6 +335,34 @@ TEST(GoldenOutputTest, Seed7MatchesPinnedValues) {
         << r.metrs_objective;
     EXPECT_EQ(Bits(r.unified_cost), golden.unified_cost_bits)
         << r.unified_cost;
+  }
+}
+
+// Cross-sink check: the timeline's per-round deltas add up to the final
+// report for every exact counter, under faults and a work budget (so the
+// fault, shedding and work-unit columns are nonzero).
+TEST(TimelineTotalsTest, TotalsMatchFinalReportCounters) {
+  for (DispatchMode dispatch : {DispatchMode::kSerial,
+                                DispatchMode::kBatched}) {
+    SCOPED_TRACE(dispatch == DispatchMode::kBatched ? "batched" : "serial");
+    RunOutcome outcome =
+        RunWithThreads(7, 4, 0.0, dispatch, OracleKind::kMatrix,
+                       GeoBackend::kBucket, /*traced=*/true, kGoldenFaults,
+                       /*budget=*/60);
+    ASSERT_GT(outcome.report.faults.work_units, 0);
+    std::map<std::string, int64_t> summed;
+    for (size_t c = 0; c < outcome.counter_names.size(); ++c) {
+      summed[outcome.counter_names[c]] = outcome.totals.counters[c];
+    }
+    int compared = 0;
+    VisitExactFields(outcome.report, [&](const char* name, auto value) {
+      if constexpr (std::is_same_v<decltype(value), int64_t>) {
+        ASSERT_EQ(summed.count(name), 1u) << name;
+        EXPECT_EQ(summed[name], value) << name;
+        ++compared;
+      }
+    });
+    EXPECT_EQ(compared, 28);
   }
 }
 

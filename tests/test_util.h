@@ -4,9 +4,12 @@
 #define WATTER_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/core/metrics.h"
 #include "src/core/types.h"
 #include "src/geo/graph.h"
 #include "src/geo/travel_time_oracle.h"
@@ -56,6 +59,20 @@ inline std::vector<Order> MakeExample1Orders(double minute = 60.0) {
                .release = 12, .deadline = 12 + 20 * minute, .wait_limit = 60,
                .shortest_cost = 1 * minute};
   return orders;
+}
+
+/// Every field of the determinism contract (metrics.h, VisitExactFields) as
+/// "name=value", doubles to 17 significant digits so equal text means equal
+/// bits. One EXPECT_EQ over two lists names each field that differs.
+inline std::vector<std::string> ExactFields(const MetricsReport& report) {
+  std::vector<std::string> fields;
+  VisitExactFields(report, [&fields](const char* name, auto value) {
+    std::ostringstream field;
+    field.precision(17);
+    field << name << '=' << value;
+    fields.push_back(field.str());
+  });
+  return fields;
 }
 
 }  // namespace testutil

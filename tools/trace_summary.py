@@ -2,12 +2,13 @@
 """Summarize (and validate) WATTER observability outputs.
 
 Reads a Chrome trace-event JSON file produced by `--trace` (watter_cli, the
-fig benches, bench_e2e) and prints a per-span rollup: event count, total and
-mean duration, and the share of the trace's wall span. With `--timeline` it
-also rolls up a per-round timeline JSON (`--timeline` output of the same
-tools): round count, peak pool size, and the per-phase time breakdown with
-the top phase called out — the same "next bottleneck" readout that
-docs/PERFORMANCE.md records from BENCH_e2e.json.
+fig benches) and prints a per-span rollup: event count, total and mean
+duration, and the share of the trace's wall span. With `--timeline` it also
+rolls up a per-round timeline JSON (`--timeline` output of the same tools):
+round count, peak pool size, the per-phase time breakdown with the top phase
+called out, and a robustness line whenever a fault or the work budget fired.
+The timeline's counter columns carry the report's JSON names
+(src/core/metrics.h), one per-round delta column per report counter.
 
 `--check` turns the script into a validator for CI: it exits nonzero unless
 the trace is structurally a loadable Chrome trace (traceEvents array, "M"
@@ -112,12 +113,14 @@ def summarize_trace(spans, thread_names, dropped, top):
 PHASES = ("maintenance_s", "refresh_s", "propose_s", "resolve_s",
           "commit_s", "sweep_s")
 
-# Robustness columns (docs/ROBUSTNESS.md): per-round fault/recovery event
-# counts and overload-shedding counters. All are summed into totals, so the
-# cross-check below catches the RoundSample struct and the timeline field
-# table drifting apart (a new column wired into one but not the other).
-FAULT_COLUMNS = ("fault_events", "recovered", "failed", "shed", "degraded",
-                 "work_units")
+# Robustness columns (docs/ROBUSTNESS.md): per-round deltas of the fault,
+# recovery and overload-shedding counters, under the report's names. Each
+# must be present as a count whose per-round sum equals its total. The
+# summary counts dropouts, late dropouts and returns as fault events.
+EVENT_COLUMNS = ("fault_dropouts", "fault_late_dropouts", "fault_returns")
+FAULT_COLUMNS = EVENT_COLUMNS + (
+    "fault_brownout_rounds", "fault_recovered_orders", "failed_services",
+    "shed_orders", "degraded_rounds", "work_units")
 
 
 def validate_timeline(timeline):
@@ -161,11 +164,13 @@ def summarize_timeline(rounds, totals):
     print(f"top phase: {top_phase} ({top_seconds:.3f}s)")
     # Robustness rollup: silent on a faultless, unbudgeted run.
     if any(totals.get(key, 0) for key in FAULT_COLUMNS):
-        print(f"faults: {totals.get('fault_events', 0)} events, "
-              f"{totals.get('recovered', 0)} orders recovered, "
-              f"{totals.get('failed', 0)} failed services; "
-              f"shedding: {totals.get('shed', 0)} orders over "
-              f"{totals.get('degraded', 0)} degraded rounds, "
+        events = sum(totals.get(key, 0) for key in EVENT_COLUMNS)
+        print(f"faults: {events} events, "
+              f"{totals.get('fault_brownout_rounds', 0)} brownout rounds, "
+              f"{totals.get('fault_recovered_orders', 0)} orders recovered, "
+              f"{totals.get('failed_services', 0)} failed services; "
+              f"shedding: {totals.get('shed_orders', 0)} orders over "
+              f"{totals.get('degraded_rounds', 0)} degraded rounds, "
               f"{totals.get('work_units', 0)} work units")
 
 

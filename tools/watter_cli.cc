@@ -43,9 +43,8 @@
 //   --timeline FILE — per-round timeline (pool size, shareability edges,
 //   offers/conflicts, phase durations, counter deltas) as
 //   JSON, or CSV when FILE ends in ".csv".
-//   --metrics-json FILE — dump the full MetricsReport as one JSON object
-//   (bench_util field names for the overlapping fields, so it diffs against
-//   BENCH_*.json records directly).
+//   --metrics-json FILE — dump the full MetricsReport as one JSON object,
+//   under the same field names as the fig-bench --json records.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -206,72 +205,13 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
   table.AddRow({"running time / order (us)",
                 Table::Num(report.running_time_per_order * 1e6, 1)});
   table.Print();
-  // Pool work counters (zero for the non-pooling baselines): the planner-
-  // invocation and plan-cache numbers that the committed BENCH_pool.json
-  // baselines track (docs/PERFORMANCE.md, "Incremental pool maintenance").
-  if (report.pool.planner_plans > 0) {
-    Table pool({"pool counter", "value"});
-    pool.AddRow({"planner plans (PlanBest)",
-                 std::to_string(report.pool.planner_plans)});
-    pool.AddRow({"pair tests", std::to_string(report.pool.pair_tests)});
-    pool.AddRow({"best-group recomputes",
-                 std::to_string(report.pool.best_group_recomputes)});
-    pool.AddRow({"groups evaluated",
-                 std::to_string(report.pool.groups_evaluated)});
-    pool.AddRow({"plan-cache hits",
-                 std::to_string(report.pool.plan_cache_hits)});
-    pool.AddRow({"plan-cache misses",
-                 std::to_string(report.pool.plan_cache_misses)});
-    pool.AddRow({"plan-cache replans",
-                 std::to_string(report.pool.plan_cache_replans)});
-    pool.AddRow({"plan-cache evictions",
-                 std::to_string(report.pool.plan_cache_evictions)});
-    pool.AddRow({"plan-cache seeds",
-                 std::to_string(report.pool.plan_cache_seeds)});
-    pool.AddRow({"reverse-index fan-out",
-                 std::to_string(report.pool.reverse_index_fanout)});
-    pool.Print();
-  }
-  // Fault-injection / degradation counters — only when something fired
-  // (docs/ROBUSTNESS.md). All deterministic.
-  const FaultStats& faults = report.faults;
-  if (faults.dropouts + faults.late_dropouts + faults.returns +
-          faults.brownout_rounds + faults.shed_orders >
-      0) {
-    Table fault_table({"fault counter", "value"});
-    fault_table.AddRow({"worker dropouts", std::to_string(faults.dropouts)});
-    fault_table.AddRow({"  mid-route (riders aboard)",
-                        std::to_string(faults.midroute_dropouts)});
-    fault_table.AddRow({"late dropouts (resolve/commit)",
-                        std::to_string(faults.late_dropouts)});
-    fault_table.AddRow({"worker returns", std::to_string(faults.returns)});
-    fault_table.AddRow({"brownout rounds",
-                        std::to_string(faults.brownout_rounds)});
-    fault_table.AddRow({"orders recovered",
-                        std::to_string(faults.recovered_orders)});
-    fault_table.AddRow({"failed services",
-                        std::to_string(report.failed_services)});
-    fault_table.AddRow({"aborted commits",
-                        std::to_string(faults.aborted_commits)});
-    fault_table.AddRow({"orders shed (budget)",
-                        std::to_string(faults.shed_orders)});
-    fault_table.AddRow({"degraded rounds",
-                        std::to_string(faults.degraded_rounds)});
-    fault_table.AddRow({"work units charged",
-                        std::to_string(faults.work_units)});
-    fault_table.Print();
-  }
-  // Travel-time-oracle work counters (diagnostic, not deterministic:
-  // metrics.h, GeoStats). Batch rows only appear once a batch ran.
-  if (report.geo.queries > 0) {
-    Table geo({"geo counter", "value"});
-    geo.AddRow({"oracle queries", std::to_string(report.geo.queries)});
-    geo.AddRow({"oracle batches", std::to_string(report.geo.batches)});
-    geo.AddRow({"batched points", std::to_string(report.geo.batch_points)});
-    geo.AddRow({"bucket build (ms)",
-                Table::Num(report.geo.bucket_build_seconds * 1e3, 1)});
-    geo.Print();
-  }
+  // Every nonzero run counter under its JSON name (metrics.h): outcomes,
+  // pool, dispatch, fault and oracle work.
+  Table counters({"counter", "value"});
+  VisitCounters(report, [&counters](const char* name, int64_t value) {
+    if (value != 0) counters.AddRow({name, std::to_string(value)});
+  });
+  counters.Print();
 }
 
 int Generate(const CliArgs& args) {
