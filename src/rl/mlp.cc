@@ -6,6 +6,12 @@
 #include "src/common/rng.h"
 
 namespace watter {
+namespace {
+
+// Outputs that share one walk over a layer's non-zero inputs.
+constexpr int kBlock = 8;
+
+}  // namespace
 
 Mlp::Mlp(std::vector<int> layer_sizes, uint64_t seed)
     : sizes_(std::move(layer_sizes)) {
@@ -28,11 +34,20 @@ Mlp::Mlp(std::vector<int> layer_sizes, uint64_t seed)
     for (int i = 0; i < fan_out; ++i) params_[cursor++] = 0.0f;
   }
   activations_.resize(sizes_.size());
+  nonzeros_.resize(sizes_.size());
   for (size_t layer = 0; layer < sizes_.size(); ++layer) {
     activations_[layer].resize(static_cast<size_t>(sizes_[layer]));
+    nonzeros_[layer].reserve(static_cast<size_t>(sizes_[layer]));
   }
 }
 
+// Each output starts at its bias and adds the float products of its weights
+// with the layer's non-zero inputs, in ascending input order: the dense sum
+// bit for bit. With finite weights a skipped product is +-0, and adding +-0
+// leaves a sum unchanged unless the sum is -0. A sum can be -0 only if its
+// bias is, and biases start at +0, which Adam's subtractions never turn
+// into -0. Blocks of kBlock outputs walk the non-zero list once, with one
+// accumulator each.
 double Mlp::ForwardInternal(std::span<const float> input) const {
   assert(static_cast<int>(input.size()) == sizes_.front());
   std::copy(input.begin(), input.end(), activations_[0].begin());
@@ -41,17 +56,36 @@ double Mlp::ForwardInternal(std::span<const float> input) const {
     int fan_in = sizes_[layer];
     int fan_out = sizes_[layer + 1];
     const float* weights = &params_[cursor];
-    const float* bias = &params_[cursor + static_cast<size_t>(fan_in) *
-                                              fan_out];
-    const std::vector<float>& in = activations_[layer];
-    std::vector<float>& out = activations_[layer + 1];
+    const float* bias = weights + static_cast<size_t>(fan_in) * fan_out;
+    const float* in = activations_[layer].data();
+    float* out = activations_[layer + 1].data();
+    std::vector<int>& nonzero = nonzeros_[layer];
+    nonzero.clear();
+    for (int i = 0; i < fan_in; ++i) {
+      if (in[i] != 0.0f) nonzero.push_back(i);
+    }
     bool is_output = layer + 2 == sizes_.size();
-    for (int o = 0; o < fan_out; ++o) {
-      double sum = bias[o];
-      const float* row = &weights[static_cast<size_t>(o) * fan_in];
-      for (int i = 0; i < fan_in; ++i) sum += row[i] * in[i];
+    auto store = [&](int o, double sum) {
       out[o] = is_output ? static_cast<float>(sum)
                          : static_cast<float>(sum > 0.0 ? sum : 0.0);
+    };
+    int o = 0;
+    for (; o + kBlock <= fan_out; o += kBlock) {
+      const float* rows = &weights[static_cast<size_t>(o) * fan_in];
+      double sums[kBlock];
+      for (int k = 0; k < kBlock; ++k) sums[k] = bias[o + k];
+      for (int i : nonzero) {
+        for (int k = 0; k < kBlock; ++k) {
+          sums[k] += rows[static_cast<size_t>(k) * fan_in + i] * in[i];
+        }
+      }
+      for (int k = 0; k < kBlock; ++k) store(o + k, sums[k]);
+    }
+    for (; o < fan_out; ++o) {
+      const float* row = &weights[static_cast<size_t>(o) * fan_in];
+      double sum = bias[o];
+      for (int i : nonzero) sum += row[i] * in[i];
+      store(o, sum);
     }
     cursor += static_cast<size_t>(fan_in) * fan_out + fan_out;
   }
@@ -84,25 +118,23 @@ double Mlp::ForwardBackward(std::span<const float> input, double dloss_dout,
     float* weight_grads = &(*grads)[offsets[layer]];
     float* bias_grads =
         &(*grads)[offsets[layer] + static_cast<size_t>(fan_in) * fan_out];
-    const std::vector<float>& in = activations_[layer];
-    std::vector<float> next_delta(fan_in, 0.0f);
+    // Only the non-zero inputs: a zero input's weight gradient adds +-0,
+    // and a gradient accumulated from +0 is never -0. Below the first layer
+    // a zero input is a post-ReLU zero, whose delta the ReLU derivative
+    // zeroes. The first layer's input delta is unused, so it is skipped.
+    const float* in = activations_[layer].data();
+    const std::vector<int>& nonzero = nonzeros_[layer];
+    std::vector<float> next_delta(layer > 0 ? fan_in : 0, 0.0f);
     for (int o = 0; o < fan_out; ++o) {
       float d = delta[o];
       if (d == 0.0f) continue;
       const float* row = &weights[static_cast<size_t>(o) * fan_in];
       float* grad_row = &weight_grads[static_cast<size_t>(o) * fan_in];
-      for (int i = 0; i < fan_in; ++i) {
-        grad_row[i] += d * in[i];
-        next_delta[i] += d * row[i];
+      for (int i : nonzero) grad_row[i] += d * in[i];
+      if (layer > 0) {
+        for (int i : nonzero) next_delta[i] += d * row[i];
       }
       bias_grads[o] += d;
-    }
-    if (layer > 0) {
-      // ReLU derivative at the previous layer's post-activation.
-      const std::vector<float>& activation = activations_[layer];
-      for (int i = 0; i < fan_in; ++i) {
-        if (activation[i] <= 0.0f) next_delta[i] = 0.0f;
-      }
     }
     delta = std::move(next_delta);
   }

@@ -38,14 +38,17 @@ class Mlp {
   const std::vector<int>& layer_sizes() const { return sizes_; }
 
  private:
-  /// Runs the forward pass, filling per-layer activations into scratch
-  /// buffers; returns the scalar output.
+  /// Runs the forward pass, filling per-layer activations and non-zero
+  /// input lists into scratch buffers; returns the scalar output.
   double ForwardInternal(std::span<const float> input) const;
 
   std::vector<int> sizes_;
   std::vector<float> params_;
-  // Scratch activations (pre- and post-ReLU) reused across calls.
+  // Scratch reused across calls: per-layer activations (the input, the
+  // post-ReLU hidden layers, the output) and the indices of each layer's
+  // non-zero inputs in ascending order.
   mutable std::vector<std::vector<float>> activations_;
+  mutable std::vector<std::vector<int>> nonzeros_;
 };
 
 }  // namespace watter

@@ -1,5 +1,7 @@
 #include "src/rl/model_io.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -8,6 +10,8 @@ namespace {
 
 constexpr char kMagic[] = "watter-expect-model";
 constexpr int kVersion = 1;
+// Input, hidden layers and output; a longer header is a damaged file.
+constexpr int kMaxLayers = 16;
 
 }  // namespace
 
@@ -95,17 +99,36 @@ Result<ExpectModel> LoadExpectModel(const std::string& path,
   model.mixture =
       std::make_unique<GaussianMixture>(std::move(mixture).value());
 
-  size_t layer_count = 0;
+  // Every size is checked before anything is allocated from it: Mlp's
+  // constructor trusts its sizes.
+  int layer_count = 0;
   in >> key >> layer_count;
-  if (key != "layers" || layer_count < 2) {
+  if (!in || key != "layers" || layer_count < 2 ||
+      layer_count > kMaxLayers) {
     return Status::InvalidArgument("malformed layers header");
   }
-  std::vector<int> sizes(layer_count);
+  std::vector<int> sizes(static_cast<size_t>(layer_count));
   for (int& size : sizes) in >> size;
+  if (!in || *std::min_element(sizes.begin(), sizes.end()) <= 0) {
+    return Status::InvalidArgument("layer sizes must be positive integers");
+  }
+  if (sizes.back() != 1) {
+    return Status::InvalidArgument("the last layer must have size 1");
+  }
   int param_count = 0;
   in >> key >> param_count;
   if (key != "params" || param_count <= 0) {
     return Status::InvalidArgument("malformed params header");
+  }
+  uint64_t layer_params = 0;
+  for (size_t layer = 0; layer + 1 < sizes.size(); ++layer) {
+    layer_params += static_cast<uint64_t>(sizes[layer]) * sizes[layer + 1] +
+                    static_cast<uint64_t>(sizes[layer + 1]);
+    if (layer_params > static_cast<uint64_t>(param_count)) break;
+  }
+  if (layer_params != static_cast<uint64_t>(param_count)) {
+    return Status::InvalidArgument(
+        "layer sizes do not match the parameter count");
   }
 
   model.featurizer =
@@ -115,9 +138,6 @@ Result<ExpectModel> LoadExpectModel(const std::string& path,
         "model input size does not match the featurizer geometry");
   }
   model.value = std::make_unique<Mlp>(sizes, /*seed=*/0);
-  if (model.value->param_count() != param_count) {
-    return Status::InvalidArgument("parameter count mismatch");
-  }
   for (float& p : model.value->params()) in >> p;
   if (!in) return Status::InvalidArgument("truncated parameter block");
   return model;

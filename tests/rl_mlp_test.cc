@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -96,6 +100,150 @@ TEST(MlpTest, LearnsSimpleRegression) {
     total_err += std::abs(net.Forward(x) - target);
   }
   EXPECT_LT(total_err / 200.0, 0.1);
+}
+
+// The dense loops Mlp ran before its zero-skipping kernel: every output sums
+// its bias and then every input's float product in ascending input order,
+// and backpropagation touches every input. The kernel must match them bit
+// for bit.
+double DenseForward(const Mlp& net, std::span<const float> input,
+                    std::vector<std::vector<float>>* activations) {
+  const std::vector<int>& sizes = net.layer_sizes();
+  activations->assign(1, std::vector<float>(input.begin(), input.end()));
+  size_t cursor = 0;
+  for (size_t layer = 0; layer + 1 < sizes.size(); ++layer) {
+    int fan_in = sizes[layer];
+    int fan_out = sizes[layer + 1];
+    const float* weights = &net.params()[cursor];
+    const float* bias = weights + static_cast<size_t>(fan_in) * fan_out;
+    const std::vector<float>& in = activations->back();
+    std::vector<float> out(fan_out);
+    bool is_output = layer + 2 == sizes.size();
+    for (int o = 0; o < fan_out; ++o) {
+      double sum = bias[o];
+      const float* row = &weights[static_cast<size_t>(o) * fan_in];
+      for (int i = 0; i < fan_in; ++i) sum += row[i] * in[i];
+      out[o] = is_output ? static_cast<float>(sum)
+                         : static_cast<float>(sum > 0.0 ? sum : 0.0);
+    }
+    activations->push_back(std::move(out));
+    cursor += static_cast<size_t>(fan_in) * fan_out + fan_out;
+  }
+  return activations->back()[0];
+}
+
+double DenseForwardBackward(const Mlp& net, std::span<const float> input,
+                            double dloss_dout, std::vector<float>* grads) {
+  std::vector<std::vector<float>> activations;
+  double output = DenseForward(net, input, &activations);
+  const std::vector<int>& sizes = net.layer_sizes();
+  std::vector<size_t> offsets(sizes.size() - 1);
+  size_t cursor = 0;
+  for (size_t layer = 0; layer + 1 < sizes.size(); ++layer) {
+    offsets[layer] = cursor;
+    cursor += static_cast<size_t>(sizes[layer]) * sizes[layer + 1] +
+              sizes[layer + 1];
+  }
+  std::vector<float> delta = {static_cast<float>(dloss_dout)};
+  for (int layer = static_cast<int>(sizes.size()) - 2; layer >= 0; --layer) {
+    int fan_in = sizes[layer];
+    int fan_out = sizes[layer + 1];
+    const float* weights = &net.params()[offsets[layer]];
+    float* weight_grads = &(*grads)[offsets[layer]];
+    float* bias_grads =
+        &(*grads)[offsets[layer] + static_cast<size_t>(fan_in) * fan_out];
+    const std::vector<float>& in = activations[layer];
+    std::vector<float> next_delta(fan_in, 0.0f);
+    for (int o = 0; o < fan_out; ++o) {
+      float d = delta[o];
+      if (d == 0.0f) continue;
+      const float* row = &weights[static_cast<size_t>(o) * fan_in];
+      float* grad_row = &weight_grads[static_cast<size_t>(o) * fan_in];
+      for (int i = 0; i < fan_in; ++i) {
+        grad_row[i] += d * in[i];
+        next_delta[i] += d * row[i];
+      }
+      bias_grads[o] += d;
+    }
+    if (layer > 0) {
+      for (int i = 0; i < fan_in; ++i) {
+        if (in[i] <= 0.0f) next_delta[i] = 0.0f;
+      }
+    }
+    delta = std::move(next_delta);
+  }
+  return output;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+TEST(MlpTest, SparseKernelMatchesDenseReference) {
+  // Widths that are not multiples of the kernel's output block, the
+  // WATTER-expect network itself, and a net with no hidden layer.
+  const std::vector<std::vector<int>> shapes = {
+      {37, 13, 5, 1}, {505, 64, 32, 1}, {9, 1}};
+  for (const std::vector<int>& shape : shapes) {
+    SCOPED_TRACE("input width " + std::to_string(shape.front()));
+    Mlp net(shape, 17);
+    Rng rng(23);
+    // Finite weights and biases of both signs; every fourth bias stays +0.
+    for (size_t p = 0; p < net.params().size(); ++p) {
+      net.params()[p] = static_cast<float>(rng.Normal(0.0, 0.4));
+    }
+    size_t cursor = 0;
+    for (size_t layer = 0; layer + 1 < shape.size(); ++layer) {
+      cursor += static_cast<size_t>(shape[layer]) * shape[layer + 1];
+      for (int o = 0; o < shape[layer + 1]; o += 4) {
+        net.params()[cursor + o] = 0.0f;
+      }
+      cursor += shape[layer + 1];
+    }
+    // Inputs about 70% exact zeros, some of them -0, plus a few tiny
+    // non-zeros the kernel must not skip. Two inputs close the list: one
+    // whose large terms cancel in the first output (its weights for inputs
+    // 1 and 2 are equal), so the sum keeps input 0's term only when it is
+    // added after them and the summation order shows; and all zeros.
+    std::vector<std::vector<float>> inputs(40,
+                                           std::vector<float>(shape.front()));
+    for (size_t n = 0; n + 2 < inputs.size(); ++n) {
+      for (float& x : inputs[n]) {
+        double u = rng.Uniform();
+        if (u < 0.6) {
+          x = 0.0f;
+        } else if (u < 0.7) {
+          x = -0.0f;
+        } else if (u < 0.73) {
+          x = u < 0.715 ? 1e-40f : -1e-40f;
+        } else {
+          x = static_cast<float>(rng.Normal(0.0, 1.5));
+        }
+      }
+    }
+    net.params()[2] = net.params()[1];
+    inputs[inputs.size() - 2][0] = 1.0f;
+    inputs[inputs.size() - 2][1] = 0x1p40f;
+    inputs[inputs.size() - 2][2] = -0x1p40f;
+    std::vector<float> grads(net.param_count(), 0.0f);
+    std::vector<float> dense_grads(net.param_count(), 0.0f);
+    std::vector<std::vector<float>> activations;
+    for (size_t n = 0; n < inputs.size(); ++n) {
+      SCOPED_TRACE("input " + std::to_string(n));
+      double dense = DenseForward(net, inputs[n], &activations);
+      EXPECT_EQ(Bits(net.Forward(inputs[n])), Bits(dense));
+      double dloss = rng.Normal(0.0, 2.0);
+      double out = net.ForwardBackward(inputs[n], dloss, &grads);
+      double dense_out =
+          DenseForwardBackward(net, inputs[n], dloss, &dense_grads);
+      EXPECT_EQ(Bits(out), Bits(dense_out));
+    }
+    EXPECT_EQ(std::memcmp(grads.data(), dense_grads.data(),
+                          grads.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(AdamTest, StepCountAndDirection) {

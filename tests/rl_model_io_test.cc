@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "src/rl/model_io.h"
 #include "src/rl/trainer.h"
@@ -97,6 +100,49 @@ TEST(ModelIoTest, LoadRejectsGarbage) {
   ASSERT_TRUE(model.ok());
   auto loaded = LoadExpectModel(path, model->city);
   EXPECT_FALSE(loaded.ok());
+  std::remove(path.c_str());
+}
+
+// A damaged `layers` header must come back as InvalidArgument, never reach
+// Mlp's constructor (a negative size used to abort the process).
+TEST(ModelIoTest, LoadRejectsMalformedLayers) {
+  auto model = TrainExpectModel(TinyWorkload(), TinyTraining());
+  ASSERT_TRUE(model.ok());
+  std::string path = testing::TempDir() + "/malformed_layers_model.txt";
+  ASSERT_TRUE(SaveExpectModel(path, *model).ok());
+  std::string text;
+  {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  const std::string input = std::to_string(model->featurizer->feature_size());
+  const std::string header = "layers 3 " + input + " 8 1\n";
+  const size_t at = text.find(header);
+  ASSERT_NE(at, std::string::npos) << text.substr(0, 200);
+  const std::string damaged[] = {
+      "layers 3 " + input + " -8 1\n",  // negative hidden size
+      "layers 3 " + input + " 0 1\n",   // empty hidden layer
+      "layers 3 " + input + " 8 2\n",   // two outputs
+      "layers 17 " + input + " 8 1\n",  // more layers than the bound
+      // Far more weights than the parameter block holds: rejected before
+      // anything is allocated for them.
+      "layers 3 " + input + " 2000000000 1\n",
+  };
+  for (const std::string& layers : damaged) {
+    SCOPED_TRACE(layers);
+    std::string bad = text;
+    bad.replace(at, header.size(), layers);
+    {
+      std::ofstream out(path);
+      out << bad;
+    }
+    auto loaded = LoadExpectModel(path, model->city);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("layer"), std::string::npos)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

@@ -24,6 +24,7 @@
 #include "src/core/metrics.h"
 #include "src/obs/histogram_registry.h"
 #include "src/obs/trace.h"
+#include "src/rl/trainer.h"
 #include "src/sim/platform.h"
 #include "src/strategy/threshold_provider.h"
 #include "src/workload/scenario.h"
@@ -51,6 +52,9 @@ WorkloadOptions DeterminismWorkload(uint64_t seed) {
   options.city_height = 16;
   options.duration = 3600.0;
   options.seed = seed;
+  // The city GenerateScenario derives from `seed`, set explicitly so a
+  // WATTER-expect model trained on these options runs in the same city.
+  options.city_seed = seed * 7919 + 13;
   return options;
 }
 
@@ -60,7 +64,8 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
                           GeoBackend geo = GeoBackend::kBucket,
                           bool traced = false,
                           const std::string& faults = "",
-                          int64_t budget = 0) {
+                          int64_t budget = 0,
+                          ThresholdProvider* provider = nullptr) {
   WorkloadOptions workload = DeterminismWorkload(seed);
   workload.oracle = oracle;
   workload.geo = geo;
@@ -68,7 +73,8 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
   auto scenario = GenerateScenario(workload);
   EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
   if (!scenario.ok()) return {};
-  OnlineThresholdProvider provider;
+  OnlineThresholdProvider online;
+  if (provider == nullptr) provider = &online;
   SimOptions options;
   options.num_threads = num_threads;
   options.cancellation_hazard = cancellation_hazard;
@@ -81,7 +87,7 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
     options.trace_path = trace_path;
     options.timeline_path = timeline_path;
   }
-  WatterPlatform platform(&*scenario, &provider, options);
+  WatterPlatform platform(&*scenario, provider, options);
   RunOutcome outcome;
   platform.set_observer([&outcome](const DecisionObservation& obs) {
     if (obs.action == 1) {
@@ -319,22 +325,93 @@ const GoldenCase kGoldenCases[] = {
      1229, 224, 0x410213879820d509ULL, 0x4136b06f56fbb000ULL},
 };
 
+void ExpectGolden(const MetricsReport& r, const GoldenCase& golden) {
+  EXPECT_EQ(r.served, golden.served);
+  EXPECT_EQ(r.rejected, golden.rejected);
+  EXPECT_EQ(r.dispatch.committed, golden.committed);
+  EXPECT_EQ(r.dispatch.worker_conflicts, golden.worker_conflicts);
+  EXPECT_EQ(r.dispatch.order_conflicts, golden.order_conflicts);
+  EXPECT_EQ(Bits(r.metrs_objective), golden.metrs_objective_bits)
+      << r.metrs_objective;
+  EXPECT_EQ(Bits(r.unified_cost), golden.unified_cost_bits)
+      << r.unified_cost;
+}
+
 TEST(GoldenOutputTest, Seed7MatchesPinnedValues) {
   for (const GoldenCase& golden : kGoldenCases) {
     SCOPED_TRACE(golden.name);
     RunOutcome outcome =
         RunWithThreads(7, 4, 0.0, golden.dispatch, OracleKind::kMatrix,
                        GeoBackend::kBucket, /*traced=*/false, golden.faults);
-    const MetricsReport& r = outcome.report;
-    EXPECT_EQ(r.served, golden.served);
-    EXPECT_EQ(r.rejected, golden.rejected);
-    EXPECT_EQ(r.dispatch.committed, golden.committed);
-    EXPECT_EQ(r.dispatch.worker_conflicts, golden.worker_conflicts);
-    EXPECT_EQ(r.dispatch.order_conflicts, golden.order_conflicts);
-    EXPECT_EQ(Bits(r.metrs_objective), golden.metrs_objective_bits)
-        << r.metrs_objective;
-    EXPECT_EQ(Bits(r.unified_cost), golden.unified_cost_bits)
-        << r.unified_cost;
+    ExpectGolden(outcome.report, golden);
+  }
+}
+
+// WATTER-expect, the learned-threshold strategy: one value network trained
+// on seed 7's city (1 bootstrap day, 1 behavior day, 1 epoch, the default
+// {64, 32} hidden layers), then seed 7 evaluated per engine at 1 and 4
+// threads. The parameter hash pins training; the rows pin the thresholds
+// the network computes.
+const ExpectModel* GoldenExpectModel() {
+  static const ExpectModel* const model = [] {
+    ExpectTrainOptions train;
+    train.bootstrap_days = 1;
+    train.behavior_days = 1;
+    train.epochs = 1;
+    auto trained = TrainExpectModel(DeterminismWorkload(7), train);
+    EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+    return trained.ok() ? new ExpectModel(std::move(trained).value())
+                        : nullptr;
+  }();
+  return model;
+}
+
+// FNV-1a over the parameters' bit patterns.
+uint64_t ParamHash(const std::vector<float>& params) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (float p : params) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &p, sizeof bits);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash = (hash ^ ((bits >> (8 * byte)) & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+constexpr uint64_t kGoldenExpectParamHash = 0x488056460e4aebf7ULL;
+
+struct ExpectGoldenCase {
+  int threads;
+  GoldenCase golden;
+};
+
+const ExpectGoldenCase kExpectGoldenCases[] = {
+    {1, {"expect_serial_1", DispatchMode::kSerial, "", 280, 220, 0, 0, 0,
+         0x410055fe1c7f29f7ULL, 0x413531d10dc1a000ULL}},
+    {4, {"expect_serial_4", DispatchMode::kSerial, "", 280, 220, 0, 0, 0,
+         0x410055fe1c7f29f7ULL, 0x413531d10dc1a000ULL}},
+    {1, {"expect_batched_1", DispatchMode::kBatched, "", 298, 202, 176, 1047,
+         188, 0x41005f9dd4c5d33dULL, 0x41345416e5518000ULL}},
+    {4, {"expect_batched_4", DispatchMode::kBatched, "", 298, 202, 176, 1047,
+         188, 0x41005f9dd4c5d33dULL, 0x41345416e5518000ULL}},
+};
+
+TEST(GoldenOutputTest, Seed7ExpectMatchesPinnedValues) {
+  const ExpectModel* model = GoldenExpectModel();
+  ASSERT_NE(model, nullptr);
+  EXPECT_EQ(ParamHash(model->value->params()), kGoldenExpectParamHash)
+      << std::hex << "0x" << ParamHash(model->value->params());
+  for (const ExpectGoldenCase& expect : kExpectGoldenCases) {
+    const GoldenCase& golden = expect.golden;
+    SCOPED_TRACE(golden.name);
+    auto provider = model->MakeProvider();
+    RunOutcome outcome =
+        RunWithThreads(7, expect.threads, 0.0, golden.dispatch,
+                       OracleKind::kMatrix, GeoBackend::kBucket,
+                       /*traced=*/false, golden.faults, /*budget=*/0,
+                       provider.get());
+    ExpectGolden(outcome.report, golden);
   }
 }
 
