@@ -18,6 +18,11 @@ int ThreadPool::DefaultThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+ThreadPool& ThreadPool::Inline() {
+  static ThreadPool pool(1);
+  return pool;
+}
+
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads <= 0 ? DefaultThreads()
                                     : num_threads) {
@@ -46,7 +51,9 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
   grain = std::max<size_t>(grain, 1);
   // Serial fast path: nothing to fan out to, a re-entrant call from a worker
   // or from a body on the calling thread (fanning out again would clobber
-  // the single in-flight job), or a range too small to split.
+  // the single in-flight job), or a range too small to split. A 1-thread
+  // pool stops at the first test and reads no mutable member, which is
+  // what lets threads share Inline().
   if (workers_.empty() || t_inside_worker || job_active_ || n <= grain) {
     body(0, n);
     return;

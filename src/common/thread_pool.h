@@ -19,7 +19,10 @@
 //
 // Nested ParallelFor calls — from inside a worker, or from a body running
 // on the driving thread — run inline (serially); the pool never deadlocks
-// on re-entry. One thread drives the pool at a time.
+// on re-entry. One thread drives a multi-thread pool at a time. A 1-thread
+// pool runs every loop inline and touches no pool state, so any number of
+// threads may share one: ThreadPool::Inline() is that shared pool, the
+// executor components fall back on when none is installed.
 //
 // Completion is chunk-claim based: a job is done when its index range is
 // drained and every thread that *entered* the job has left it. Workers that
@@ -78,6 +81,10 @@ class ThreadPool {
 
   /// The machine's hardware concurrency (>= 1).
   static int DefaultThreads();
+
+  /// The process-wide 1-thread pool: runs every loop inline on the calling
+  /// thread and is safe to use from any number of threads at once.
+  static ThreadPool& Inline();
 
  private:
   void WorkerLoop();

@@ -52,14 +52,6 @@ Status GridIndex::Remove(int64_t id) {
   return Status::Ok();
 }
 
-Status GridIndex::Relocate(int64_t id, Point p) {
-  if (points_.find(id) == points_.end()) {
-    return Status::NotFound("grid element " + std::to_string(id));
-  }
-  Insert(id, p);
-  return Status::Ok();
-}
-
 void GridIndex::Clear() {
   for (auto& cell : cells_) cell.clear();
   points_.clear();
@@ -118,26 +110,6 @@ std::vector<int64_t> GridIndex::KNearest(
   std::vector<int64_t> ids;
   ids.reserve(found.size());
   for (const auto& [dist, id] : found) ids.push_back(id);
-  return ids;
-}
-
-std::vector<int64_t> GridIndex::WithinRadius(Point p, double radius) const {
-  std::vector<int64_t> ids;
-  if (radius < 0.0) return ids;
-  int row_lo = RowOf(p.y - radius);
-  int row_hi = RowOf(p.y + radius);
-  int col_lo = ColOf(p.x - radius);
-  int col_hi = ColOf(p.x + radius);
-  for (int row = row_lo; row <= row_hi; ++row) {
-    for (int col = col_lo; col <= col_hi; ++col) {
-      for (int64_t id :
-           cells_[static_cast<size_t>(row) * cells_per_side_ + col]) {
-        if (EuclideanDistance(points_.at(id), p) <= radius) {
-          ids.push_back(id);
-        }
-      }
-    }
-  }
   return ids;
 }
 

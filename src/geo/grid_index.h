@@ -3,8 +3,9 @@
 // The paper (Section VII-A) partitions the city into an n x n cell grid and
 // uses it to (a) speed up nearest-worker and nearby-order search and (b)
 // quantize locations for the RL state features. This index serves both
-// purposes: it supports insert/remove/relocate of identified points, ring-
-// expansion k-nearest queries, and exposes per-cell occupancy counts.
+// purposes: it supports insert/remove of identified points (re-inserting
+// relocates), ring-expansion k-nearest queries, and exposes per-cell
+// occupancy counts.
 #ifndef WATTER_GEO_GRID_INDEX_H_
 #define WATTER_GEO_GRID_INDEX_H_
 
@@ -32,9 +33,6 @@ class GridIndex {
   /// Removes `id`; NotFound if absent.
   Status Remove(int64_t id);
 
-  /// Moves `id` to `p`; NotFound if absent.
-  Status Relocate(int64_t id, Point p);
-
   /// Drops all elements (grid geometry is retained).
   void Clear();
 
@@ -53,9 +51,6 @@ class GridIndex {
   std::vector<int64_t> KNearest(
       int64_t k, Point p,
       const std::function<bool(int64_t)>& accept = nullptr) const;
-
-  /// All stored ids within Euclidean `radius` of `p` (unsorted).
-  std::vector<int64_t> WithinRadius(Point p, double radius) const;
 
   /// Occupancy count per cell (row-major, cells_per_side^2 entries).
   std::vector<int> CellCounts() const;

@@ -9,8 +9,8 @@ namespace watter {
 namespace {
 
 // Minimum number of work items before a refresh phase fans out; one
-// best-group scan/selection (clique enumeration) or one group plan is the
-// unit of work, so even small batches amortize the pool wake-up.
+// anchor's clique enumeration or one group plan is the unit of work, so
+// even small batches amortize the pool wake-up.
 constexpr size_t kParallelGrain = 4;
 
 }  // namespace
@@ -92,22 +92,24 @@ BestGroupMap::CandidateScan BestGroupMap::ScanCandidates(OrderId id,
   if (graph_->GetOrder(id) == nullptr) return scan;
 
   auto classify = [&](std::span<const OrderId> members) {
+    int64_t index = scan.groups_evaluated++;
     if (!CandidateAdmissible(members)) return;
     GroupKey key(members);
     const CachedGroupPlan* entry = plan_cache_.Find(key);
     if (entry == nullptr) {
       ++scan.misses;
-      scan.need_plan.push_back(key);
+      scan.need_plan.emplace_back(key, index);
     } else if (!entry->feasible || entry->plan.latest_departure >= now) {
       // Cached verdict still answers the query (infeasibility is permanent;
       // an unexpired plan is still the min-cost feasible plan — see
       // group_plan_cache.h).
       ++scan.hits;
+      Offer(key, index, entry, now, &scan.best_hit);
     } else {
       // The cached min-cost route expired; a costlier route with more
       // deadline slack may still exist, so re-plan at the current time.
       ++scan.replans;
-      scan.need_plan.push_back(key);
+      scan.need_plan.emplace_back(key, index);
     }
   };
 
@@ -116,8 +118,24 @@ BestGroupMap::CandidateScan BestGroupMap::ScanCandidates(OrderId id,
     classify(std::span<const OrderId>(self));
   }
   thread_local CliqueEnumerator enumerator;
-  enumerator.Enumerate(*graph_, id, clique_options_, classify);
+  int visited = enumerator.Enumerate(*graph_, id, clique_options_, classify);
+  scan.truncated = visited >= clique_options_.max_visits;
   return scan;
+}
+
+void BestGroupMap::Offer(const GroupKey& key, int64_t index,
+                         const CachedGroupPlan* entry, Time now,
+                         Leader* leader) const {
+  if (entry == nullptr || !entry->feasible) return;
+  if (entry->plan.latest_departure < now) return;
+  double size = static_cast<double>(key.size);
+  double avg_detour = entry->sum_detour / size;
+  double avg_response = now - entry->sum_release / size;
+  double avg = weights_.alpha * avg_detour + weights_.beta * avg_response;
+  if (leader->index < 0 || avg < leader->avg ||
+      (avg == leader->avg && index < leader->index)) {
+    *leader = Leader{key, avg, index};
+  }
 }
 
 CachedGroupPlan BestGroupMap::PlanGroup(const GroupKey& key, Time now) const {
@@ -140,69 +158,32 @@ CachedGroupPlan BestGroupMap::PlanGroup(const GroupKey& key, Time now) const {
   return entry;
 }
 
-BestGroupMap::SearchResult BestGroupMap::SelectBest(OrderId id,
-                                                    Time now) const {
-  SearchResult result;
-  if (graph_->GetOrder(id) == nullptr) return result;
-
-  const CachedGroupPlan* best_entry = nullptr;
-  GroupKey best_key;
-  double best_avg = kInfCost;
-
-  auto consider = [&](std::span<const OrderId> members) {
-    ++result.groups_evaluated;
-    if (!CandidateAdmissible(members)) return;
-    GroupKey key(members);
-    // Every admissible candidate was planned (or found cached) by the scan
-    // + plan phases over the same frozen graph, so the guards below are
-    // defensive rather than load-bearing.
-    const CachedGroupPlan* entry = plan_cache_.Find(key);
-    if (entry == nullptr || !entry->feasible) return;
-    if (entry->plan.latest_departure < now) return;
-    double size = static_cast<double>(members.size());
-    double avg_detour = entry->sum_detour / size;
-    double avg_response = now - entry->sum_release / size;
-    double avg = weights_.alpha * avg_detour + weights_.beta * avg_response;
-    if (best_entry == nullptr || avg < best_avg) {
-      best_entry = entry;
-      best_key = key;
-      best_avg = avg;
-    }
-  };
-
-  if (include_singletons_) {
-    const OrderId self[] = {id};
-    consider(std::span<const OrderId>(self));
+void BestGroupMap::Commit(OrderId id, const CandidateScan& scan, Time now) {
+  // Phase 2 planned every set in need_plan; rank them against the best hit.
+  Leader best = scan.best_hit;
+  for (const auto& [key, index] : scan.need_plan) {
+    Offer(key, index, plan_cache_.Find(key), now, &best);
   }
-  thread_local CliqueEnumerator enumerator;
-  int visited = enumerator.Enumerate(*graph_, id, clique_options_, consider);
-  result.truncated = visited >= clique_options_.max_visits;
 
-  if (best_entry != nullptr) {
-    BestGroup group;
-    group.members.assign(best_key.members().begin(),
-                         best_key.members().end());
-    group.plan = best_entry->plan;  // Copied: the cache retains its entry.
-    group.sum_detour = best_entry->sum_detour;
-    group.sum_release = best_entry->sum_release;
-    result.best = std::move(group);
-  }
-  return result;
-}
-
-void BestGroupMap::Commit(OrderId id, SearchResult result) {
   ++recompute_count_;
-  groups_evaluated_ += result.groups_evaluated;
+  groups_evaluated_ += scan.groups_evaluated;
   dirty_.erase(id);
   RemoveOwnerEntries(id);
   best_.erase(id);
   none_.erase(id);
-  if (result.best.has_value()) {
-    for (OrderId member : result.best->members) {
+  if (best.index >= 0) {
+    const CachedGroupPlan& entry = *plan_cache_.Find(best.key);
+    BestGroup group;
+    group.members.assign(best.key.members().begin(),
+                         best.key.members().end());
+    group.plan = entry.plan;  // Copied: the cache retains its entry.
+    group.sum_detour = entry.sum_detour;
+    group.sum_release = entry.sum_release;
+    for (OrderId member : group.members) {
       owners_of_[member].insert(id);
     }
-    best_.emplace(id, std::move(*result.best));
-  } else if (!result.truncated) {
+    best_.emplace(id, std::move(group));
+  } else if (!scan.truncated) {
     // Only a complete search proves the order groupless (see none_ docs).
     none_.insert(id);
   }
@@ -211,26 +192,20 @@ void BestGroupMap::Commit(OrderId id, SearchResult result) {
 void BestGroupMap::RefreshInternal(const std::vector<OrderId>& anchors,
                                    Time now) {
   if (anchors.empty()) return;
-  bool parallel = executor_ != nullptr && executor_->num_threads() > 1;
 
-  // Phase 1: scan every anchor's candidates against the cache frozen at
-  // batch entry. Lookups see only pre-batch state, so each anchor's outcome
-  // — and every counter derived below — is a pure function of (graph,
-  // cache, anchors, now), never of thread count or sibling anchors.
-  std::vector<CandidateScan> scans(anchors.size());
+  // Phase 1: enumerate every anchor's candidates once, against the cache
+  // frozen at batch entry. Lookups see only pre-batch state, so each
+  // anchor's outcome — and every counter derived below — is a pure function
+  // of (graph, cache, anchors, now), never of thread count or sibling
+  // anchors.
+  std::vector<CandidateScan> scans;
   std::vector<GroupKey> need;
   {
     WATTER_TRACE_SPAN("refresh.scan");
-    if (parallel && anchors.size() > kParallelGrain) {
-      executor_->ParallelMap(anchors.size(), kParallelGrain, &scans,
-                             [&](size_t i) {
-                               return ScanCandidates(anchors[i], now);
-                             });
-    } else {
-      for (size_t i = 0; i < anchors.size(); ++i) {
-        scans[i] = ScanCandidates(anchors[i], now);
-      }
-    }
+    executor_->ParallelMap(anchors.size(), kParallelGrain, &scans,
+                           [&](size_t i) {
+                             return ScanCandidates(anchors[i], now);
+                           });
 
     // Merge: the distinct member sets needing a plan, in lexicographic key
     // order. This is the intra-batch dedupe — the k anchors sharing a
@@ -239,7 +214,7 @@ void BestGroupMap::RefreshInternal(const std::vector<OrderId>& anchors,
       plan_cache_hits_ += scan.hits;
       plan_cache_misses_ += scan.misses;
       plan_cache_replans_ += scan.replans;
-      need.insert(need.end(), scan.need_plan.begin(), scan.need_plan.end());
+      for (const auto& [key, index] : scan.need_plan) need.push_back(key);
     }
     std::sort(need.begin(), need.end());
     need.erase(std::unique(need.begin(), need.end()), need.end());
@@ -249,38 +224,21 @@ void BestGroupMap::RefreshInternal(const std::vector<OrderId>& anchors,
   // outcomes serially in key order.
   {
     WATTER_TRACE_SPAN("refresh.plan");
-    std::vector<CachedGroupPlan> planned(need.size());
-    if (parallel && need.size() > kParallelGrain) {
-      executor_->ParallelMap(need.size(), kParallelGrain, &planned,
-                             [&](size_t i) { return PlanGroup(need[i], now); });
-    } else {
-      for (size_t i = 0; i < need.size(); ++i) {
-        planned[i] = PlanGroup(need[i], now);
-      }
-    }
+    std::vector<CachedGroupPlan> planned;
+    executor_->ParallelMap(need.size(), kParallelGrain, &planned,
+                           [&](size_t i) { return PlanGroup(need[i], now); });
     for (size_t i = 0; i < need.size(); ++i) {
       plan_cache_.Put(need[i], std::move(planned[i]));
     }
   }
 
-  // Phase 3: rank each anchor's candidates from the now-complete cache and
+  // Phase 3: rank each anchor's planned sets against its best hit and
   // commit serially in `anchors` order — identical to a serial per-anchor
   // recompute.
   {
     WATTER_TRACE_SPAN("refresh.select");
-    std::vector<SearchResult> results(anchors.size());
-    if (parallel && anchors.size() > kParallelGrain) {
-      executor_->ParallelMap(anchors.size(), kParallelGrain, &results,
-                             [&](size_t i) {
-                               return SelectBest(anchors[i], now);
-                             });
-    } else {
-      for (size_t i = 0; i < anchors.size(); ++i) {
-        results[i] = SelectBest(anchors[i], now);
-      }
-    }
     for (size_t i = 0; i < anchors.size(); ++i) {
-      Commit(anchors[i], std::move(results[i]));
+      Commit(anchors[i], scans[i], now);
     }
   }
 }

@@ -18,9 +18,11 @@
 //  - a shared GroupPlanCache holds one exact plan per distinct member set,
 //    so re-searches after unrelated dirty events — and the k anchors that
 //    enumerate the same clique — reuse instead of re-planning;
-//  - searches run in three deterministic phases (frozen-cache scan, batch
-//    planning of the distinct missing member sets, best-group selection),
-//    which is also what keeps every counter thread-count-invariant.
+//  - a refresh enumerates each stale anchor's cliques once, ranking the
+//    cache hits on the spot against the cache frozen at batch entry; it
+//    then plans the distinct missing member sets once each, and a serial
+//    commit ranks each anchor's planned sets against its best hit. Every
+//    counter is therefore thread-count-invariant.
 //
 // Timestamps passed to BestFor/Recompute/RefreshMany must be non-decreasing
 // across calls: the plan cache's permanent-infeasibility rule (like the
@@ -28,10 +30,10 @@
 #ifndef WATTER_POOL_BEST_GROUP_MAP_H_
 #define WATTER_POOL_BEST_GROUP_MAP_H_
 
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -86,7 +88,9 @@ class BestGroupMap {
 
   /// Installs the executor RefreshMany fans out on. Null (default) or a
   /// 1-thread pool keeps recomputation on the calling thread. Not owned.
-  void set_executor(ThreadPool* executor) { executor_ = executor; }
+  void set_executor(ThreadPool* executor) {
+    executor_ = executor != nullptr ? executor : &ThreadPool::Inline();
+  }
 
   /// Marks an order's cached best group stale.
   void MarkDirty(OrderId id) { dirty_.insert(id); }
@@ -149,48 +153,56 @@ class BestGroupMap {
   /// True if `group` is missing, expired, or references departed orders.
   bool NeedsRefresh(OrderId id, Time now) const;
 
-  /// Outcome of one pure best-group search.
-  struct SearchResult {
-    std::optional<BestGroup> best;
+  /// The leading candidate of one anchor's ranking: the smallest average
+  /// extra time at `now`, ties going to the earlier enumeration index. That
+  /// is the group a strict-`<` scan in enumeration order keeps, whichever
+  /// order the candidates are offered in.
+  struct Leader {
+    GroupKey key;
+    double avg = kInfCost;
+    int64_t index = -1;  ///< Enumeration index; -1 until a candidate leads.
+  };
+
+  /// Phase-1 outcome for one anchor: its only clique enumeration, against
+  /// the frozen graph + cache (pure; safe to run concurrently). Feasible,
+  /// unexpired cache hits are ranked on the spot into `best_hit`; the
+  /// member sets still to plan (cache misses and expired entries) wait in
+  /// `need_plan`, in enumeration order with their enumeration index, for
+  /// the commit to rank once phase 2 has planned them.
+  struct CandidateScan {
+    std::vector<std::pair<GroupKey, int64_t>> need_plan;
+    Leader best_hit;
     int64_t groups_evaluated = 0;
     /// True when clique enumeration hit the visit budget: the search saw
     /// only a prefix of the candidate groups.
     bool truncated = false;
-  };
-
-  /// Phase-1 outcome for one anchor: the member sets its enumeration needs
-  /// planned (cache misses and expired entries), plus the lookup counts.
-  /// Pure against the frozen graph + cache; safe to run concurrently.
-  struct CandidateScan {
-    std::vector<GroupKey> need_plan;
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t replans = 0;
   };
 
-  /// False if any member departed or the summed riders exceed the fleet
-  /// capacity — the admissibility pre-filter both enumeration passes share
-  /// (identical filters are what guarantee phase 3 only looks up planned
-  /// keys).
+  /// False if the clique cannot be planned: more members than a GroupKey
+  /// holds, a departed member, or more riders than the fleet capacity.
   bool CandidateAdmissible(std::span<const OrderId> members) const;
 
   CandidateScan ScanCandidates(OrderId id, Time now) const;
 
+  /// Makes candidate `index` (member set `key`, cache outcome `entry`) the
+  /// leader if it is feasible and unexpired at `now` and ranks ahead.
+  void Offer(const GroupKey& key, int64_t index,
+             const CachedGroupPlan* entry, Time now, Leader* leader) const;
+
   /// Plans one member set exactly at depart time `now` (pure).
   CachedGroupPlan PlanGroup(const GroupKey& key, Time now) const;
 
-  /// Phase-3 search for `id` at `now`: re-enumerates the (unchanged)
-  /// candidates and ranks them from the now-complete cache. Pure.
-  SearchResult SelectBest(OrderId id, Time now) const;
-
-  /// The three-phase refresh shared by Recompute and RefreshMany (so the
-  /// serial and batched paths cannot diverge): scan -> plan distinct
-  /// missing member sets -> select + ordered serial commit.
+  /// The refresh shared by Recompute and RefreshMany (so the serial and
+  /// batched paths cannot diverge): scan -> plan distinct missing member
+  /// sets -> rank the planned sets + ordered serial commit.
   void RefreshInternal(const std::vector<OrderId>& anchors, Time now);
 
-  /// Installs a search result into the caches and the reverse-membership
-  /// index.
-  void Commit(OrderId id, SearchResult result);
+  /// Ranks `scan`'s planned member sets against its best hit and installs
+  /// the winner into the caches and the reverse-membership index.
+  void Commit(OrderId id, const CandidateScan& scan, Time now);
 
   /// Detaches `owner` from its cached group's member buckets in the
   /// reverse-membership index (no-op if it has no cached group).
@@ -202,7 +214,7 @@ class BestGroupMap {
   int capacity_;
   CliqueOptions clique_options_;
   bool include_singletons_;
-  ThreadPool* executor_ = nullptr;  // Optional; not owned.
+  ThreadPool* executor_ = &ThreadPool::Inline();  // Never null; not owned.
   std::unordered_map<OrderId, BestGroup> best_;
   std::unordered_set<OrderId> dirty_;
   /// Reverse-membership index: member -> owners whose cached best group in

@@ -18,7 +18,6 @@
 #define WATTER_POOL_CLIQUE_ENUMERATOR_H_
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -138,13 +137,6 @@ class CliqueEnumerator {
   std::vector<OrderId> members_;    ///< Current clique, sorted.
   std::vector<Frame> frames_;
 };
-
-/// Convenience wrapper over a local CliqueEnumerator for one-off calls
-/// (tests, tools). Hot paths should hold a CliqueEnumerator and reuse it.
-int EnumerateCliquesContaining(
-    const ShareabilityGraph& graph, OrderId anchor,
-    const CliqueOptions& options,
-    const std::function<void(std::span<const OrderId>)>& visit);
 
 }  // namespace watter
 

@@ -44,10 +44,8 @@ Result<std::vector<OrderId>> ShareabilityGraph::Insert(
 
   // Candidate partners in ascending-id order, quick-rejected up front: an
   // order past its latest dispatch can never be part of a feasible route,
-  // and the planner would discover that the expensive way. One sorted list
-  // serves the serial and parallel paths alike — adjacency *order* is
-  // unobservable (CliqueEnumerator sorts, every other consumer scans), so
-  // unifying on sorted ids changes no behavior; see the
+  // and the planner would discover that the expensive way. The sorted list
+  // fixes the commit order below for any thread count; see the
   // ParallelMaintenanceMatchesSerial property.
   std::vector<OrderId> candidates;
   if (now <= order.LatestDispatch()) {
@@ -78,17 +76,8 @@ Result<std::vector<OrderId>> ShareabilityGraph::Insert(
     return TestedEdge{edge, std::move(plan).value()};
   };
   std::vector<std::optional<TestedEdge>> tested;
-  bool parallel = executor_ != nullptr && executor_->num_threads() > 1 &&
-                  candidates.size() > kParallelGrain;
-  if (parallel) {
-    executor_->ParallelMap(candidates.size(), kParallelGrain, &tested,
-                           test_pair);
-  } else {
-    tested.reserve(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      tested.push_back(test_pair(i));
-    }
-  }
+  executor_->ParallelMap(candidates.size(), kParallelGrain, &tested,
+                         test_pair);
 
   // Ordered commit: mirror each surviving edge on both endpoints, ascending
   // by candidate id, and surface the plan behind it for cache seeding.
@@ -137,34 +126,9 @@ void ShareabilityGraph::RemoveEdgeTo(OrderId from, OrderId to) {
 }
 
 std::vector<OrderId> ShareabilityGraph::ExpireEdges(Time now) {
-  std::vector<OrderId> affected;
-  if (executor_ == nullptr || executor_->num_threads() <= 1 ||
-      entries_.size() <= kParallelGrain) {
-    // Serial fast path: one pass over the map, no snapshot. The affected
-    // list's *order* differs from the parallel path's sorted one, but it
-    // only feeds unordered dirty-marking, so behavior is identical.
-    for (auto& [id, entry] : entries_) {
-      auto& edges = entry.edges;
-      size_t before = edges.size();
-      edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                 [now](const ShareEdge& e) {
-                                   return e.expiry < now;
-                                 }),
-                  edges.end());
-      if (edges.size() != before) affected.push_back(id);
-    }
-    int64_t directed = 0;
-    for (const auto& [id, entry] : entries_) {
-      directed += static_cast<int64_t>(entry.edges.size());
-    }
-    // Each expired edge was trimmed from both endpoints.
-    edge_count_ = directed / 2;
-    return affected;
-  }
-
-  // Parallel path: shard by entry — each task trims exactly one adjacency
-  // list, so shards touch disjoint state. The snapshot is sorted so the
-  // affected list is identical for any thread count.
+  // Shard by entry — each task trims exactly one adjacency list, so shards
+  // touch disjoint state. The snapshot is sorted so the affected list is
+  // identical for any thread count.
   std::vector<OrderId> ids = OrderIds();
   std::sort(ids.begin(), ids.end());
   std::vector<int64_t> kept(ids.size(), 0);
@@ -186,11 +150,13 @@ std::vector<OrderId> ShareabilityGraph::ExpireEdges(Time now) {
 
   // Ordered reduction: rebuild the affected list and the edge count from
   // the per-entry results.
+  std::vector<OrderId> affected;
   int64_t directed = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     if (trimmed[i]) affected.push_back(ids[i]);
     directed += kept[i];
   }
+  // Each expired edge was trimmed from both endpoints.
   edge_count_ = directed / 2;
   return affected;
 }

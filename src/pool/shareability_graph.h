@@ -55,11 +55,11 @@ struct ShareabilityOptions {
 /// The dynamic order pool graph.
 ///
 /// Concurrency model: the graph itself is single-writer — all mutation
-/// happens on the caller's thread. Insert and ExpireEdges internally fan
-/// their pure per-candidate/per-entry work out over an optional ThreadPool
-/// and commit the results serially in ascending-id order, so the resulting
-/// graph is bitwise identical for any thread count (see thread_pool.h,
-/// determinism contract).
+/// happens on the caller's thread. Insert and ExpireEdges fan their pure
+/// per-candidate/per-entry work out over the executor and commit the
+/// results serially in ascending-id order, so the resulting graph is
+/// bitwise identical for any thread count (see thread_pool.h, determinism
+/// contract).
 class ShareabilityGraph {
  public:
   ShareabilityGraph(RoutePlanner* planner, ShareabilityOptions options)
@@ -68,7 +68,9 @@ class ShareabilityGraph {
   /// Installs the executor used to parallelize Insert's pair-feasibility
   /// tests and ExpireEdges' per-entry trims. Null (the default) or a
   /// 1-thread pool keeps everything on the calling thread. Not owned.
-  void set_executor(ThreadPool* executor) { executor_ = executor; }
+  void set_executor(ThreadPool* executor) {
+    executor_ = executor != nullptr ? executor : &ThreadPool::Inline();
+  }
 
   /// Inserts `order` at time `now`, computing edges against every resident
   /// order. Returns the ids of existing orders that gained an edge (their
@@ -115,7 +117,7 @@ class ShareabilityGraph {
 
   RoutePlanner* planner_;
   ShareabilityOptions options_;
-  ThreadPool* executor_ = nullptr;  // Optional; not owned.
+  ThreadPool* executor_ = &ThreadPool::Inline();  // Never null; not owned.
   std::unordered_map<OrderId, Entry> entries_;
   int64_t edge_count_ = 0;   // Undirected edges currently present.
   int64_t pair_tests_ = 0;   // Pair plans attempted (diagnostics).

@@ -1,6 +1,9 @@
 #include "src/workload/dataset_io.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/common/csv.h"
 
@@ -14,6 +17,22 @@ Result<double> ParseDouble(const std::string& field) {
     return Status::InvalidArgument("not a number: '" + field + "'");
   }
   return value;
+}
+
+// `field` as the integer type T, or InvalidArgument unless it is a whole
+// number in T's range: a static_cast is undefined for nan or 1e300 and
+// would silently truncate 2.5. The exclusive upper bound -min() is
+// 2^(bits-1), which a double holds exactly (unlike a 64-bit max()).
+template <typename T>
+Result<T> ParseInteger(const std::string& field) {
+  auto value = ParseDouble(field);
+  if (!value.ok()) return value.status();
+  constexpr double kLow = static_cast<double>(std::numeric_limits<T>::min());
+  if (!(*value >= kLow && *value < -kLow && std::trunc(*value) == *value)) {
+    return Status::InvalidArgument("not an integer in range: '" + field +
+                                   "'");
+  }
+  return static_cast<T>(*value);
 }
 
 }  // namespace
@@ -48,27 +67,38 @@ Result<std::vector<Order>> LoadOrdersCsv(const std::string& path) {
                                      columns[c]);
     }
   }
+  // Fields are read by header position, so a row must reach the last one.
+  const size_t width =
+      static_cast<size_t>(*std::max_element(index, index + 8)) + 1;
   std::vector<Order> orders;
   orders.reserve(doc->rows.size());
   for (const auto& row : doc->rows) {
-    if (row.size() < 8) {
+    if (row.size() < width) {
       return Status::InvalidArgument("short row in " + path);
     }
-    double fields[8];
-    for (int c = 0; c < 8; ++c) {
-      auto value = ParseDouble(row[index[c]]);
+    auto id = ParseInteger<OrderId>(row[index[0]]);
+    auto pickup = ParseInteger<NodeId>(row[index[1]]);
+    auto dropoff = ParseInteger<NodeId>(row[index[2]]);
+    auto riders = ParseInteger<int>(row[index[3]]);
+    if (!id.ok()) return id.status();
+    if (!pickup.ok()) return pickup.status();
+    if (!dropoff.ok()) return dropoff.status();
+    if (!riders.ok()) return riders.status();
+    double times[4];
+    for (int c = 0; c < 4; ++c) {
+      auto value = ParseDouble(row[index[4 + c]]);
       if (!value.ok()) return value.status();
-      fields[c] = *value;
+      times[c] = *value;
     }
     Order order;
-    order.id = static_cast<OrderId>(fields[0]);
-    order.pickup = static_cast<NodeId>(fields[1]);
-    order.dropoff = static_cast<NodeId>(fields[2]);
-    order.riders = static_cast<int>(fields[3]);
-    order.release = fields[4];
-    order.deadline = fields[5];
-    order.wait_limit = fields[6];
-    order.shortest_cost = fields[7];
+    order.id = *id;
+    order.pickup = *pickup;
+    order.dropoff = *dropoff;
+    order.riders = *riders;
+    order.release = times[0];
+    order.deadline = times[1];
+    order.wait_limit = times[2];
+    order.shortest_cost = times[3];
     orders.push_back(order);
   }
   return orders;
@@ -95,20 +125,24 @@ Result<std::vector<Worker>> LoadWorkersCsv(const std::string& path) {
   if (id_col < 0 || loc_col < 0 || cap_col < 0) {
     return Status::InvalidArgument("missing worker columns in " + path);
   }
+  const size_t width =
+      static_cast<size_t>(std::max({id_col, loc_col, cap_col})) + 1;
   std::vector<Worker> workers;
   workers.reserve(doc->rows.size());
   for (const auto& row : doc->rows) {
-    if (row.size() < 3) return Status::InvalidArgument("short row in " + path);
-    auto id = ParseDouble(row[id_col]);
-    auto loc = ParseDouble(row[loc_col]);
-    auto cap = ParseDouble(row[cap_col]);
+    if (row.size() < width) {
+      return Status::InvalidArgument("short row in " + path);
+    }
+    auto id = ParseInteger<WorkerId>(row[id_col]);
+    auto loc = ParseInteger<NodeId>(row[loc_col]);
+    auto cap = ParseInteger<int>(row[cap_col]);
     if (!id.ok()) return id.status();
     if (!loc.ok()) return loc.status();
     if (!cap.ok()) return cap.status();
     Worker worker;
-    worker.id = static_cast<WorkerId>(*id);
-    worker.location = static_cast<NodeId>(*loc);
-    worker.capacity = static_cast<int>(*cap);
+    worker.id = *id;
+    worker.location = *loc;
+    worker.capacity = *cap;
     workers.push_back(worker);
   }
   return workers;

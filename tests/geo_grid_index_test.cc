@@ -35,14 +35,6 @@ TEST(GridIndexTest, ReinsertRelocates) {
   EXPECT_EQ(nearest[0], 7);
 }
 
-TEST(GridIndexTest, RelocateMovesAcrossCells) {
-  GridIndex index = MakeIndex();
-  index.Insert(3, {1, 1});
-  ASSERT_TRUE(index.Relocate(3, {99, 99}).ok());
-  EXPECT_EQ(index.CellOf(index.PointOf(3)), index.CellOf({99, 99}));
-  EXPECT_EQ(index.Relocate(42, {1, 1}).code(), StatusCode::kNotFound);
-}
-
 TEST(GridIndexTest, CellOfClampsOutOfBox) {
   GridIndex index = MakeIndex();
   EXPECT_EQ(index.CellOf({-50, -50}), index.CellOf({0, 0}));
@@ -95,28 +87,6 @@ TEST(GridIndexTest, KNearestWithFewerElementsReturnsAll) {
   auto got = index.KNearest(5, {0, 0});
   EXPECT_EQ(got.size(), 1u);
   EXPECT_TRUE(index.KNearest(0, {0, 0}).empty());
-}
-
-TEST(GridIndexTest, WithinRadiusMatchesBruteForce) {
-  GridIndex index = MakeIndex(6);
-  Rng rng(77);
-  std::vector<std::pair<int64_t, Point>> all;
-  for (int64_t id = 0; id < 150; ++id) {
-    Point p{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    index.Insert(id, p);
-    all.emplace_back(id, p);
-  }
-  for (int trial = 0; trial < 20; ++trial) {
-    Point q{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    double radius = rng.Uniform(5, 30);
-    auto got = index.WithinRadius(q, radius);
-    std::sort(got.begin(), got.end());
-    std::vector<int64_t> expected;
-    for (const auto& [id, p] : all) {
-      if (EuclideanDistance(p, q) <= radius) expected.push_back(id);
-    }
-    EXPECT_EQ(got, expected);
-  }
 }
 
 TEST(GridIndexTest, CellCountsSumToSize) {

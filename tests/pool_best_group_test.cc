@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/pool/order_pool.h"
 #include "tests/test_util.h"
 
@@ -262,6 +263,81 @@ TEST_F(OrderPoolTest, DepartureDirtiesOwnersThroughReverseIndex) {
   const BestGroup* best = paper_pool_.BestFor(a.id, now + 1);
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->members, (std::vector<OrderId>{a.id, c.id}));
+}
+
+// The ranking's tie rule: among groups with bit-equal average extra time,
+// the one enumerated first wins, whether it is a plan-cache hit or a member
+// set planned in the same refresh. Six anchors (ids 1-6, released at 0-5 s)
+// and two partners, P = 7 and Q = 8, both released at 10 s, all ride
+// identical d->f trips, and only pairs compete. Each anchor's best pairs
+// are then {anchor, P} and {anchor, Q}: both detour-free, with bit-equal
+// averages, and P is enumerated first (ascending ids). Recomputing
+// `cached_partner` beforehand caches its pairs, so the batched refresh of
+// the anchors finds that pair as a hit and plans the other.
+void ExpectFirstEnumeratedPairWins(OrderId cached_partner,
+                                   ThreadPool* executor) {
+  constexpr OrderId kP = 7;
+  constexpr OrderId kQ = 8;
+  constexpr Time kNow = 10.0;
+  Graph graph = testutil::MakeExample1Graph();
+  DijkstraOracle oracle(&graph);
+  RoutePlanner planner(&oracle);
+  ShareabilityGraph share(&planner, ShareabilityOptions{});
+  BestGroupMap map(&share, &planner, ExtraTimeWeights{}, /*capacity=*/4,
+                   CliqueOptions{/*max_size=*/2, /*max_visits=*/4096});
+  map.set_executor(executor);
+  std::vector<OrderId> anchors;
+  for (OrderId id = 1; id <= 6; ++id) {
+    Order order = IdenticalTrip(id, static_cast<Time>(id - 1), testutil::kD,
+                                testutil::kF, 2 * kMin);
+    ASSERT_TRUE(share.Insert(order, order.release).ok());
+    anchors.push_back(id);
+  }
+  for (OrderId id : {kP, kQ}) {
+    Order order = IdenticalTrip(id, kNow, testutil::kD, testutil::kF,
+                                2 * kMin);
+    ASSERT_TRUE(share.Insert(order, kNow).ok());
+  }
+  map.Recompute(cached_partner, kNow);
+  int64_t hits = map.plan_cache_hits();
+  map.RefreshMany(anchors, kNow);
+  // One hit per anchor: its pair with the cached partner.
+  EXPECT_EQ(map.plan_cache_hits() - hits, 6);
+
+  std::vector<double> averages;
+  for (OrderId anchor : anchors) {
+    const BestGroup* best = map.PeekBest(anchor, kNow);
+    ASSERT_NE(best, nullptr);
+    EXPECT_EQ(best->members, (std::vector<OrderId>{anchor, kP}));
+    averages.push_back(best->AverageExtraTime(kNow, ExtraTimeWeights{}));
+  }
+  // The premise: without P, each anchor falls back to its pair with Q at
+  // a bit-equal average.
+  ASSERT_TRUE(share.Remove(kP).ok());
+  map.OnOrderRemoved(kP);
+  map.RefreshMany(anchors, kNow);
+  for (size_t i = 0; i < anchors.size(); ++i) {
+    const BestGroup* best = map.PeekBest(anchors[i], kNow);
+    ASSERT_NE(best, nullptr);
+    EXPECT_EQ(best->members, (std::vector<OrderId>{anchors[i], kQ}));
+    EXPECT_EQ(best->AverageExtraTime(kNow, ExtraTimeWeights{}), averages[i]);
+  }
+}
+
+TEST(BestGroupTieTest, FirstEnumeratedWinsWhenTheHitComesFirst) {
+  ThreadPool four(4);
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &four}) {
+    SCOPED_TRACE(executor == nullptr ? "no executor" : "4 threads");
+    ExpectFirstEnumeratedPairWins(/*cached_partner=*/7, executor);
+  }
+}
+
+TEST(BestGroupTieTest, FirstEnumeratedWinsWhenTheMissComesFirst) {
+  ThreadPool four(4);
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &four}) {
+    SCOPED_TRACE(executor == nullptr ? "no executor" : "4 threads");
+    ExpectFirstEnumeratedPairWins(/*cached_partner=*/8, executor);
+  }
 }
 
 }  // namespace

@@ -41,6 +41,7 @@ class CliqueTest : public testing::Test {
   DijkstraOracle oracle_;
   RoutePlanner planner_;
   ShareabilityGraph share_;
+  CliqueEnumerator enumerator_;
 };
 
 TEST_F(CliqueTest, TriangleYieldsPairsAndTriple) {
@@ -55,7 +56,7 @@ TEST_F(CliqueTest, TriangleYieldsPairsAndTriple) {
   ASSERT_EQ(share_.edge_count(), 3);
 
   std::set<std::vector<OrderId>> cliques;
-  int visited = EnumerateCliquesContaining(
+  int visited = enumerator_.Enumerate(
       share_, 1, CliqueOptions{5, 1000},
       [&](std::span<const OrderId> members) {
         cliques.emplace(members.begin(), members.end());
@@ -75,7 +76,7 @@ TEST_F(CliqueTest, MaxSizeBoundsCliqueDepth) {
   ASSERT_TRUE(share_.Insert(CorridorOrder(3, testutil::kE, testutil::kF), 0)
                   .ok());
   std::set<std::vector<OrderId>> cliques;
-  EnumerateCliquesContaining(
+  enumerator_.Enumerate(
       share_, 1, CliqueOptions{2, 1000},
       [&](std::span<const OrderId> members) {
         cliques.emplace(members.begin(), members.end());
@@ -89,7 +90,7 @@ TEST_F(CliqueTest, VisitBudgetStopsEnumeration) {
     ASSERT_TRUE(
         share_.Insert(CorridorOrder(id, testutil::kD, testutil::kF), 0).ok());
   }
-  int visited = EnumerateCliquesContaining(
+  int visited = enumerator_.Enumerate(
       share_, 1, CliqueOptions{5, 3},
       [](std::span<const OrderId>) {});
   EXPECT_EQ(visited, 3);
@@ -102,7 +103,7 @@ TEST_F(CliqueTest, EveryEmittedCliqueIsActuallyAClique) {
         share_.Insert(CorridorOrder(id, pickup, testutil::kF), 0).ok());
   }
   int checked = 0;
-  EnumerateCliquesContaining(
+  enumerator_.Enumerate(
       share_, 2, CliqueOptions{4, 1000},
       [&](std::span<const OrderId> members) {
         ++checked;
@@ -125,7 +126,7 @@ TEST_F(CliqueTest, NoDuplicateCliques) {
         share_.Insert(CorridorOrder(id, testutil::kD, testutil::kF), 0).ok());
   }
   std::vector<std::vector<OrderId>> seen;
-  EnumerateCliquesContaining(
+  enumerator_.Enumerate(
       share_, 1, CliqueOptions{5, 100000},
       [&](std::span<const OrderId> members) {
         seen.emplace_back(members.begin(), members.end());
@@ -138,13 +139,13 @@ TEST_F(CliqueTest, NoDuplicateCliques) {
 }
 
 TEST_F(CliqueTest, UnknownAnchorOrTinyMaxSizeYieldsNothing) {
-  EXPECT_EQ(EnumerateCliquesContaining(share_, 404, CliqueOptions{5, 100},
-                                       [](std::span<const OrderId>) {}),
+  EXPECT_EQ(enumerator_.Enumerate(share_, 404, CliqueOptions{5, 100},
+                                  [](std::span<const OrderId>) {}),
             0);
   ASSERT_TRUE(share_.Insert(CorridorOrder(1, testutil::kD, testutil::kF), 0)
                   .ok());
-  EXPECT_EQ(EnumerateCliquesContaining(share_, 1, CliqueOptions{1, 100},
-                                       [](std::span<const OrderId>) {}),
+  EXPECT_EQ(enumerator_.Enumerate(share_, 1, CliqueOptions{1, 100},
+                                  [](std::span<const OrderId>) {}),
             0);
 }
 

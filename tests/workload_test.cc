@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "src/workload/dataset_io.h"
 #include "src/workload/demand_model.h"
@@ -227,6 +228,62 @@ TEST(DatasetIoTest, WorkersRoundTrip) {
     EXPECT_EQ((*loaded)[i].id, scenario->workers[i].id);
     EXPECT_EQ((*loaded)[i].capacity, scenario->workers[i].capacity);
   }
+  std::remove(path.c_str());
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs(text.c_str(), f);
+  fclose(f);
+}
+
+TEST(DatasetIoTest, LoadRejectsRowsShorterThanTheHeader) {
+  // Fields are read by header position. With an extra leading column, a
+  // row that has as many fields as there are required columns still ends
+  // one short of the last one; it must be rejected, not read past.
+  std::string path = testing::TempDir() + "/wide_header.csv";
+  WriteText(path,
+            "note,id,pickup,dropoff,riders,release,deadline,wait_limit,"
+            "shortest_cost\nx,1,2,3,1,0,600,60\n");
+  EXPECT_EQ(LoadOrdersCsv(path).status().code(),
+            StatusCode::kInvalidArgument);
+  WriteText(path, "note,id,location,capacity\nx,1,2\n");
+  EXPECT_EQ(LoadWorkersCsv(path).status().code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(DatasetIoTest, LoadRejectsIntegerFieldsOutOfRange) {
+  // Ids, nodes, riders and capacities are integers; converting nan, an
+  // out-of-range value or a fraction would be undefined or lossy.
+  std::string path = testing::TempDir() + "/bad_integers.csv";
+  const std::string order_header =
+      "id,pickup,dropoff,riders,release,deadline,wait_limit,shortest_cost\n";
+  WriteText(path, order_header + "1,2,3,1,0,600,60,120\n");
+  ASSERT_TRUE(LoadOrdersCsv(path).ok());
+  WriteText(path, "id,location,capacity\n1,2,4\n");
+  ASSERT_TRUE(LoadWorkersCsv(path).ok());
+  for (std::string bad : {"nan", "1e300", "-inf", "2.5"}) {
+    SCOPED_TRACE(bad);
+    WriteText(path, order_header + bad + ",2,3,1,0,600,60,120\n");
+    EXPECT_EQ(LoadOrdersCsv(path).status().code(),
+              StatusCode::kInvalidArgument);
+    WriteText(path, order_header + "1,2,3," + bad + ",0,600,60,120\n");
+    EXPECT_EQ(LoadOrdersCsv(path).status().code(),
+              StatusCode::kInvalidArgument);
+    WriteText(path, "id,location,capacity\n1," + bad + ",4\n");
+    EXPECT_EQ(LoadWorkersCsv(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Just past each type's range: 2^63 for the 64-bit order id, 2^31 for
+  // the 32-bit riders count.
+  WriteText(path, order_header + "9223372036854775808,2,3,1,0,600,60,120\n");
+  EXPECT_EQ(LoadOrdersCsv(path).status().code(),
+            StatusCode::kInvalidArgument);
+  WriteText(path, order_header + "1,2,3,2147483648,0,600,60,120\n");
+  EXPECT_EQ(LoadOrdersCsv(path).status().code(),
+            StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
