@@ -82,13 +82,20 @@ Result<CsvDocument> ReadCsv(const std::string& path) {
   CsvDocument doc;
   std::string line;
   bool first = true;
+  size_t line_number = 0;
   while (std::getline(in, line)) {
+    ++line_number;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() && in.eof()) break;
     auto fields = SplitCsvLine(line);
     if (first) {
       doc.header = std::move(fields);
       first = false;
+    } else if (fields.size() != doc.header.size()) {
+      return Status::InvalidArgument(
+          path + ":" + std::to_string(line_number) + ": " +
+          std::to_string(fields.size()) + " fields under a header of " +
+          std::to_string(doc.header.size()));
     } else {
       doc.rows.push_back(std::move(fields));
     }

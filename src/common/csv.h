@@ -23,7 +23,8 @@ struct CsvDocument {
 /// Serializes `doc` to `path`. Fields containing commas/quotes are quoted.
 Status WriteCsv(const std::string& path, const CsvDocument& doc);
 
-/// Parses the file at `path`. The first row is treated as the header.
+/// Parses the file at `path`. The first row is treated as the header;
+/// InvalidArgument if any data row has a different number of fields.
 Result<CsvDocument> ReadCsv(const std::string& path);
 
 /// Splits one CSV line honoring double-quote escaping.

@@ -31,15 +31,22 @@ int GridIndex::CellOf(Point p) const {
   return RowOf(p.y) * cells_per_side_ + ColOf(p.x);
 }
 
+void GridIndex::EraseFromCell(int64_t id, Point p) {
+  std::vector<Slot>& cell = cells_[CellOf(p)];
+  auto it = std::find_if(cell.begin(), cell.end(),
+                         [id](const Slot& slot) { return slot.id == id; });
+  WATTER_CHECK(it != cell.end(), "grid cell lost an indexed element");
+  *it = cell.back();
+  cell.pop_back();
+}
+
 void GridIndex::Insert(int64_t id, Point p) {
-  auto it = points_.find(id);
-  if (it != points_.end()) {
-    cells_[CellOf(it->second)].erase(id);
+  auto [it, inserted] = points_.try_emplace(id, p);
+  if (!inserted) {
+    EraseFromCell(id, it->second);
     it->second = p;
-  } else {
-    points_.emplace(id, p);
   }
-  cells_[CellOf(p)].insert(id);
+  cells_[CellOf(p)].push_back({id, p});
 }
 
 Status GridIndex::Remove(int64_t id) {
@@ -47,7 +54,7 @@ Status GridIndex::Remove(int64_t id) {
   if (it == points_.end()) {
     return Status::NotFound("grid element " + std::to_string(id));
   }
-  cells_[CellOf(it->second)].erase(id);
+  EraseFromCell(id, it->second);
   points_.erase(it);
   return Status::Ok();
 }
@@ -68,48 +75,56 @@ Point GridIndex::PointOf(int64_t id) const {
 
 std::vector<int64_t> GridIndex::KNearest(
     int64_t k, Point p, const std::function<bool(int64_t)>& accept) const {
-  std::vector<std::pair<double, int64_t>> found;
   if (k <= 0 || points_.empty()) return {};
+  const size_t want = static_cast<size_t>(k);
+  // Max-heap of the best (distance, id) pairs so far, at most `want` of
+  // them: its front is the current k-th best.
+  std::vector<std::pair<double, int64_t>> best;
+  best.reserve(std::min(want, points_.size()));
   const int center_row = RowOf(p.y);
   const int center_col = ColOf(p.x);
-  const int max_ring = cells_per_side_;  // Worst case scans everything.
-  double safe_radius = -1.0;  // Distance below which results are final.
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    // Once we hold k candidates, we may stop as soon as the closest possible
-    // point in the next unexplored ring cannot beat the current k-th best.
-    if (static_cast<int64_t>(found.size()) >= k) {
-      std::nth_element(
-          found.begin(), found.begin() + (k - 1), found.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      double kth = found[k - 1].first;
-      safe_radius = (ring - 1) * std::min(cell_width_, cell_height_);
-      if (kth <= safe_radius) break;
+  const double ring_step = std::min(cell_width_, cell_height_);
+  for (int ring = 0; ring <= cells_per_side_; ++ring) {
+    // No point of ring `ring` lies closer than (ring - 1) * ring_step. The
+    // stop is strict: an unscanned point at exactly the k-th distance may
+    // still win the tie on its smaller id.
+    if (best.size() == want && best.front().first < (ring - 1) * ring_step) {
+      break;
     }
     bool any_cell = false;
-    for (int row = center_row - ring; row <= center_row + ring; ++row) {
-      if (row < 0 || row >= cells_per_side_) continue;
-      for (int col = center_col - ring; col <= center_col + ring; ++col) {
+    const int first_row = std::max(0, center_row - ring);
+    const int last_row = std::min(cells_per_side_ - 1, center_row + ring);
+    for (int row = first_row; row <= last_row; ++row) {
+      // Only the ring boundary (interior was handled by earlier rings): a
+      // whole top or bottom row, else its two side cells.
+      const int step = std::abs(row - center_row) == ring ? 1 : 2 * ring;
+      for (int col = center_col - ring; col <= center_col + ring;
+           col += step) {
         if (col < 0 || col >= cells_per_side_) continue;
-        // Only the ring boundary (interior was handled by earlier rings).
-        if (ring > 0 && std::max(std::abs(row - center_row),
-                                 std::abs(col - center_col)) != ring) {
-          continue;
-        }
         any_cell = true;
-        for (int64_t id : cells_[static_cast<size_t>(row) * cells_per_side_ +
-                                 col]) {
-          if (accept != nullptr && !accept(id)) continue;
-          found.emplace_back(EuclideanDistance(points_.at(id), p), id);
+        for (const Slot& slot :
+             cells_[static_cast<size_t>(row) * cells_per_side_ + col]) {
+          const std::pair<double, int64_t> candidate(
+              EuclideanDistance(slot.point, p), slot.id);
+          const bool full = best.size() == want;
+          if (full && !(candidate < best.front())) continue;
+          if (accept != nullptr && !accept(slot.id)) continue;
+          if (full) {
+            std::pop_heap(best.begin(), best.end());
+            best.back() = candidate;
+          } else {
+            best.push_back(candidate);
+          }
+          std::push_heap(best.begin(), best.end());
         }
       }
     }
     if (!any_cell && ring > 0) break;  // Left the grid on all sides.
   }
-  std::sort(found.begin(), found.end());
-  if (static_cast<int64_t>(found.size()) > k) found.resize(k);
+  std::sort_heap(best.begin(), best.end());
   std::vector<int64_t> ids;
-  ids.reserve(found.size());
-  for (const auto& [dist, id] : found) ids.push_back(id);
+  ids.reserve(best.size());
+  for (const auto& [dist, id] : best) ids.push_back(id);
   return ids;
 }
 

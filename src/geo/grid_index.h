@@ -6,13 +6,16 @@
 // purposes: it supports insert/remove of identified points (re-inserting
 // relocates), ring-expansion k-nearest queries, and exposes per-cell
 // occupancy counts.
+//
+// Each cell is one contiguous vector of {id, point} slots, so a k-nearest
+// scan reads points without a hash lookup; the id -> point map answers
+// Contains/PointOf and names the cell a removal swap-pops from.
 #ifndef WATTER_GEO_GRID_INDEX_H_
 #define WATTER_GEO_GRID_INDEX_H_
 
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/status.h"
@@ -47,7 +50,8 @@ class GridIndex {
   Point PointOf(int64_t id) const;
 
   /// Up to `k` stored ids nearest to `p` by Euclidean distance, optionally
-  /// filtered by `accept`. Sorted by distance ascending.
+  /// filtered by `accept`: exactly the first k accepted ids in ascending
+  /// (distance, id) order, ties on distance going to the smaller id.
   std::vector<int64_t> KNearest(
       int64_t k, Point p,
       const std::function<bool(int64_t)>& accept = nullptr) const;
@@ -59,15 +63,22 @@ class GridIndex {
   std::vector<int64_t> AllIds() const;
 
  private:
+  struct Slot {
+    int64_t id;
+    Point point;
+  };
+
   int RowOf(double y) const;
   int ColOf(double x) const;
+  // Swap-pops `id` out of the cell that holds `p`.
+  void EraseFromCell(int64_t id, Point p);
 
   Point min_corner_;
   Point max_corner_;
   int cells_per_side_;
   double cell_width_;
   double cell_height_;
-  std::vector<std::unordered_set<int64_t>> cells_;
+  std::vector<std::vector<Slot>> cells_;
   std::unordered_map<int64_t, Point> points_;
 };
 

@@ -114,6 +114,11 @@ class Fleet {
   /// Idle workers per grid cell (the RL supply feature sW).
   std::vector<int> IdleCellCounts() const { return idle_index_.CellCounts(); }
 
+  /// The grid cell of `node`, as IdleCellCounts indexes it.
+  int CellOf(NodeId node) const {
+    return idle_index_.CellOf(graph_->node_point(node));
+  }
+
   /// Ids of all currently idle workers, ascending.
   std::vector<WorkerId> IdleWorkerIds() const;
 

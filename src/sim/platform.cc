@@ -119,12 +119,8 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
       fleet_(scenario->workers, &scenario->city->graph, options.grid_cells),
       metrics_(options.metrics),
       rng_(options.sim_seed),
-      demand_pickup_index_(scenario->city->graph.MinCorner(),
-                           scenario->city->graph.MaxCorner(),
-                           options.grid_cells),
-      demand_dropoff_index_(scenario->city->graph.MinCorner(),
-                            scenario->city->graph.MaxCorner(),
-                            options.grid_cells) {
+      pooled_pickups_(fleet_.IdleCellCounts().size(), 0),
+      pooled_dropoffs_(pooled_pickups_.size(), 0) {
   pool_.set_executor(&executor_);
   track_trips_ = injector_ != nullptr && fault_spec_.has_dropouts();
   work_budget_ = ResolveBudget(options_, *scenario);
@@ -164,16 +160,17 @@ void WatterPlatform::Observe(const Order& order, Time now, int action,
 
 void WatterPlatform::InsertArrival(const Order& order, Time now) {
   if (!pool_.Insert(order, now).ok()) return;
-  const Graph& graph = scenario_->city->graph;
-  demand_pickup_index_.Insert(order.id, graph.node_point(order.pickup));
-  demand_dropoff_index_.Insert(order.id, graph.node_point(order.dropoff));
+  ++pooled_pickups_[fleet_.CellOf(order.pickup)];
+  ++pooled_dropoffs_[fleet_.CellOf(order.dropoff)];
 }
 
-void WatterPlatform::RemoveFromIndexes(const Order& order) {
-  // Every pooled order was indexed by InsertArrival, so absence here would
-  // mean the pool and the demand indexes have diverged.
-  WATTER_CHECK_OK(demand_pickup_index_.Remove(order.id));
-  WATTER_CHECK_OK(demand_dropoff_index_.Remove(order.id));
+void WatterPlatform::UncountDemand(const Order& order) {
+  // Every pooled order was counted by InsertArrival, so a negative count
+  // would mean the pool and the demand counts have diverged.
+  const int pickups = --pooled_pickups_[fleet_.CellOf(order.pickup)];
+  const int dropoffs = --pooled_dropoffs_[fleet_.CellOf(order.dropoff)];
+  WATTER_CHECK(pickups >= 0 && dropoffs >= 0,
+               "demand counts diverged from the pool");
 }
 
 void WatterPlatform::RejectOrder(const Order& order, Time now,
@@ -184,7 +181,7 @@ void WatterPlatform::RejectOrder(const Order& order, Time now,
   } else {
     metrics_.RecordRejected(order);
   }
-  RemoveFromIndexes(order);
+  UncountDemand(order);
   WATTER_CHECK_OK(pool_.Remove(order.id));
 }
 
@@ -243,8 +240,8 @@ void WatterPlatform::RunCheck(Time now) {
     WATTER_TRACE_SPAN("round.maintenance");
     PhaseTimer timer(sampling_, &round_sample_.maintenance_s);
     pool_.ExpireEdges(now);
-    demand_pickup_counts_ = demand_pickup_index_.CellCounts();
-    demand_dropoff_counts_ = demand_dropoff_index_.CellCounts();
+    demand_pickup_counts_ = pooled_pickups_;
+    demand_dropoff_counts_ = pooled_dropoffs_;
     supply_counts_ = fleet_.IdleCellCounts();
     ids = pool_.SortedOrderIds();  // Arrival-ordered.
   }
@@ -481,7 +478,7 @@ Status WatterPlatform::CommitOffer(const DispatchOffer& offer, Time now) {
   }
   for (OrderId member : offer.members) {
     const Order* m = pool_.GetOrder(member);
-    RemoveFromIndexes(*m);
+    UncountDemand(*m);
     WATTER_CHECK_OK(pool_.Remove(member));
   }
   return Status::Ok();

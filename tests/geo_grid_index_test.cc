@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -12,6 +14,42 @@ namespace {
 
 GridIndex MakeIndex(int cells = 10) {
   return GridIndex(Point{0, 0}, Point{100, 100}, cells);
+}
+
+using Element = std::pair<int64_t, Point>;
+
+// The first k accepted ids in ascending (distance, id) order: KNearest's
+// contract, by brute force.
+std::vector<int64_t> BruteForceKNearest(
+    const std::vector<Element>& all, int64_t k, Point q,
+    const std::function<bool(int64_t)>& accept = nullptr) {
+  std::vector<std::pair<double, int64_t>> ranked;
+  for (const auto& [id, p] : all) {
+    if (accept == nullptr || accept(id)) {
+      ranked.emplace_back(EuclideanDistance(p, q), id);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<int64_t> ids;
+  for (const auto& [dist, id] : ranked) {
+    if (static_cast<int64_t>(ids.size()) == k) break;
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+// An 11 x 11 lattice at spacing 0.1 over [0, 1]^2, ids descending in
+// reading order, so every distance tie has a smaller id further along.
+// With 10 cells per side every lattice line is a cell boundary, and
+// (x - min) / width puts some boundary points in the lower cell.
+std::vector<Element> UnitLattice() {
+  std::vector<Element> all;
+  for (int row = 0; row <= 10; ++row) {
+    for (int col = 0; col <= 10; ++col) {
+      all.emplace_back(120 - (row * 11 + col), Point{col / 10.0, row / 10.0});
+    }
+  }
+  return all;
 }
 
 TEST(GridIndexTest, InsertRemoveContains) {
@@ -44,7 +82,7 @@ TEST(GridIndexTest, CellOfClampsOutOfBox) {
 TEST(GridIndexTest, KNearestMatchesBruteForce) {
   GridIndex index = MakeIndex(8);
   Rng rng(42);
-  std::vector<std::pair<int64_t, Point>> all;
+  std::vector<Element> all;
   for (int64_t id = 0; id < 200; ++id) {
     Point p{rng.Uniform(0, 100), rng.Uniform(0, 100)};
     index.Insert(id, p);
@@ -52,19 +90,63 @@ TEST(GridIndexTest, KNearestMatchesBruteForce) {
   }
   for (int trial = 0; trial < 25; ++trial) {
     Point q{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    const int k = 5;
-    auto got = index.KNearest(k, q);
-    ASSERT_EQ(got.size(), static_cast<size_t>(k));
-    auto brute = all;
-    std::sort(brute.begin(), brute.end(),
-              [&q](const auto& a, const auto& b) {
-                return EuclideanDistance(a.second, q) <
-                       EuclideanDistance(b.second, q);
-              });
-    // Compare by distance: ties may reorder ids.
-    for (int i = 0; i < k; ++i) {
-      EXPECT_NEAR(EuclideanDistance(index.PointOf(got[i]), q),
-                  EuclideanDistance(brute[i].second, q), 1e-9);
+    EXPECT_EQ(index.KNearest(5, q), BruteForceKNearest(all, 5, q));
+  }
+}
+
+TEST(GridIndexTest, KNearestMatchesBruteForceAfterChurn) {
+  // Removals swap-pop within a cell and re-inserts relocate; neither may
+  // leave a stale slot behind.
+  GridIndex index = MakeIndex(6);
+  Rng rng(9);
+  std::vector<Element> all;
+  for (int64_t id = 0; id < 300; ++id) {
+    Point p{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    index.Insert(id, p);
+    all.emplace_back(id, p);
+  }
+  std::vector<Element> kept;
+  for (auto& [id, p] : all) {
+    if (id % 3 == 0) {
+      ASSERT_TRUE(index.Remove(id).ok());
+      continue;
+    }
+    if (id % 3 == 1) {
+      p = {rng.Uniform(0, 100), rng.Uniform(0, 100)};
+      index.Insert(id, p);
+    }
+    kept.push_back({id, p});
+  }
+  ASSERT_EQ(index.size(), kept.size());
+  int total = 0;
+  for (int count : index.CellCounts()) total += count;
+  EXPECT_EQ(total, static_cast<int>(kept.size()));
+  for (int trial = 0; trial < 25; ++trial) {
+    Point q{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    EXPECT_EQ(index.KNearest(7, q), BruteForceKNearest(kept, 7, q));
+  }
+}
+
+TEST(GridIndexTest, KNearestBreaksLatticeTiesBySmallerId) {
+  // A tie at exactly the unexplored radius must not end the ring scan: the
+  // unscanned point may hold the smaller id. 10 cells per side put a cell
+  // boundary on every lattice line; the other resolutions on few or none.
+  const std::vector<Element> all = UnitLattice();
+  const std::function<bool(int64_t)> odd = [](int64_t id) {
+    return id % 2 == 1;
+  };
+  for (int cells : {10, 3, 7, 13, 32}) {
+    GridIndex index(Point{0, 0}, Point{1, 1}, cells);
+    for (const auto& [id, p] : all) index.Insert(id, p);
+    for (const auto& [query_id, q] : all) {
+      for (int64_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 200}) {
+        SCOPED_TRACE(testing::Message()
+                     << cells << " cells, query (" << q.x << ", " << q.y
+                     << "), k = " << k);
+        EXPECT_EQ(index.KNearest(k, q), BruteForceKNearest(all, k, q));
+        EXPECT_EQ(index.KNearest(k, q, odd),
+                  BruteForceKNearest(all, k, q, odd));
+      }
     }
   }
 }

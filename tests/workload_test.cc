@@ -287,6 +287,26 @@ TEST(DatasetIoTest, LoadRejectsIntegerFieldsOutOfRange) {
   std::remove(path.c_str());
 }
 
+TEST(DatasetIoTest, LoadRejectsNonFiniteOrNegativeTimes) {
+  // release, deadline, wait_limit and shortest_cost are seconds; a nan
+  // deadline would reach the planner's feasibility tests.
+  std::string path = testing::TempDir() + "/bad_times.csv";
+  const std::string header =
+      "id,pickup,dropoff,riders,release,deadline,wait_limit,shortest_cost\n";
+  const std::string good[4] = {"0", "600", "60", "120"};
+  for (int column = 0; column < 4; ++column) {
+    for (std::string bad : {"nan", "inf", "-inf", "-5"}) {
+      SCOPED_TRACE(std::to_string(column) + ": " + bad);
+      std::string row = "1,2,3,1";
+      for (int c = 0; c < 4; ++c) row += "," + (c == column ? bad : good[c]);
+      WriteText(path, header + row + "\n");
+      EXPECT_EQ(LoadOrdersCsv(path).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(DatasetIoTest, LoadRejectsMissingColumns) {
   std::string path = testing::TempDir() + "/bad.csv";
   FILE* f = fopen(path.c_str(), "w");
