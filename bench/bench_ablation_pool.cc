@@ -1,5 +1,6 @@
-// Design-choice ablation (DESIGN.md, key decisions): the two pool semantics
-// this reproduction had to pin down where the paper is ambiguous:
+// Design-choice ablation (docs/ARCHITECTURE.md, "Design decisions"): the
+// two pool semantics this reproduction had to pin down where the paper is
+// ambiguous:
 //  (a) whether the best-group map contains singleton "groups"
 //      (include_singletons) — with singletons and any threshold, fresh
 //      orders pass te <= theta instantly and the strategy family collapses

@@ -1,7 +1,8 @@
 // Micro benchmarks of the shortest-path substrate: plain Dijkstra vs
 // contraction hierarchies vs the APSP matrix, plus
-// the one-time preprocessing costs. Validates the oracle choice guidance in
-// DESIGN.md (matrix for simulation cities, CH for larger graphs).
+// the one-time preprocessing costs. Validates the oracle choice in
+// docs/ARCHITECTURE.md, "Design decisions"
+// (matrix for simulation cities, CH for larger graphs).
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -6,9 +6,10 @@
 // metric in the layout of the corresponding figure: rows = sweep values,
 // columns = algorithms.
 //
-// Scale note (DESIGN.md substitution 3): order/worker counts are scaled down
-// ~30x from the paper so a full sweep finishes in minutes on one core while
-// preserving the order-to-worker ratios that drive the trends.
+// Scale note (docs/ARCHITECTURE.md, "Design decisions"): order/worker
+// counts are scaled down ~30x from the paper so a full sweep finishes in
+// minutes on one core while preserving the order-to-worker ratios that drive
+// the trends.
 #ifndef WATTER_BENCH_BENCH_UTIL_H_
 #define WATTER_BENCH_BENCH_UTIL_H_
 
@@ -193,7 +194,7 @@ inline std::string BenchTimelinePath(int argc, char** argv) {
 /// paper's regime: at the paper's 30k-125k orders/day nearly every order
 /// finds pooling partners, and that density is what makes waiting pay off.
 /// A naive 30x scale-down of n alone would leave most orders partnerless
-/// and flip the comparison (see EXPERIMENTS.md, calibration note).
+/// and flip the comparison (see docs/ARCHITECTURE.md, "Design decisions").
 inline WorkloadOptions BaseWorkload(DatasetKind dataset) {
   WorkloadOptions options;
   options.dataset = dataset;

@@ -6,7 +6,8 @@
 // behaviour: a congested centre, fast arterial corridors, and per-edge jitter
 // so shortest paths are unique and non-trivial. Every algorithm consumes the
 // city only through TravelTimeOracle::Cost, so the substitution preserves the
-// code paths exercised by the real datasets (see DESIGN.md, substitutions).
+// code paths exercised by the real datasets (see docs/ARCHITECTURE.md,
+// "Design decisions").
 #ifndef WATTER_GEO_CITY_GENERATOR_H_
 #define WATTER_GEO_CITY_GENERATOR_H_
 

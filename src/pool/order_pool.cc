@@ -2,20 +2,26 @@
 
 namespace watter {
 
-Status OrderPool::Insert(const Order& order, Time now) {
-  std::vector<PairPlanSeed> seeds;
-  auto gained = graph_.Insert(order, now, &seeds);
-  if (!gained.ok()) return gained.status();
-  // Seed the group-plan cache with the pair plans edge certification just
-  // computed: the next RefreshBestGroups would otherwise re-plan exactly
-  // these member sets as cache misses.
-  for (const PairPlanSeed& seed : seeds) {
-    const Order* other = graph_.GetOrder(seed.other);
-    if (other != nullptr) best_.SeedPlan(order, *other, seed.plan);
+std::vector<Status> OrderPool::Insert(std::span<const Arrival> arrivals) {
+  std::vector<InsertOutcome> outcomes = graph_.Insert(arrivals);
+  std::vector<Status> statuses;
+  statuses.reserve(outcomes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    InsertOutcome& outcome = outcomes[i];
+    if (outcome.ok()) {
+      const Order& order = arrivals[i].order;
+      best_.MarkDirty(order.id);
+      // Seed the group-plan cache with the pair plans edge certification
+      // just computed: the next RefreshBestGroups would otherwise re-plan
+      // exactly these member sets as cache misses.
+      for (const PairPlanSeed& seed : outcome.edges) {
+        best_.SeedPlan(order, *graph_.GetOrder(seed.other), seed.plan);
+        best_.MarkDirty(seed.other);
+      }
+    }
+    statuses.push_back(std::move(outcome.status));
   }
-  best_.MarkDirty(order.id);
-  for (OrderId neighbor : *gained) best_.MarkDirty(neighbor);
-  return Status::Ok();
+  return statuses;
 }
 
 Status OrderPool::Remove(OrderId id) {

@@ -7,6 +7,7 @@
 #define WATTER_POOL_ORDER_POOL_H_
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -56,9 +57,16 @@ class OrderPool {
     best_.set_executor(executor);
   }
 
-  /// Inserts an arriving order (Algorithm 1 line 3) and updates edges and
-  /// dirty best-groups.
-  Status Insert(const Order& order, Time now);
+  /// Inserts arriving orders (Algorithm 1 line 3) and updates edges and
+  /// dirty best-groups, with the same result as one call per arrival in
+  /// order (ShareabilityGraph::Insert). Returns one status per arrival.
+  std::vector<Status> Insert(std::span<const Arrival> arrivals);
+
+  /// A batch of one.
+  Status Insert(const Order& order, Time now) {
+    const Arrival arrival{order, now};
+    return std::move(Insert(std::span(&arrival, 1)).front());
+  }
 
   /// Removes a dispatched/rejected/expired order (lines 12, 15).
   Status Remove(OrderId id);

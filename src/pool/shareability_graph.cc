@@ -31,71 +31,108 @@ bool RouteInterleaves(const Route& route) {
 
 }  // namespace
 
-Result<std::vector<OrderId>> ShareabilityGraph::Insert(
-    const Order& order, Time now, std::vector<PairPlanSeed>* pair_plans) {
+std::vector<InsertOutcome> ShareabilityGraph::Insert(
+    std::span<const Arrival> arrivals) {
   WATTER_TRACE_SPAN_HOT("graph.insert");
-  if (entries_.count(order.id) > 0) {
-    return Status::AlreadyExists("order " + std::to_string(order.id) +
-                                 " already pooled");
-  }
-  Entry entry;
-  entry.order = order;
-  entry.inserted_at = now;
+  std::vector<InsertOutcome> outcomes(arrivals.size());
 
-  // Candidate partners in ascending-id order, quick-rejected up front: an
-  // order past its latest dispatch can never be part of a feasible route,
-  // and the planner would discover that the expensive way. The sorted list
-  // fixes the commit order below for any thread count; see the
-  // ParallelMaintenanceMatchesSerial property.
-  std::vector<OrderId> candidates;
-  if (now <= order.LatestDispatch()) {
-    candidates.reserve(entries_.size());
-    for (const auto& [other_id, other] : entries_) {
-      if (now > other.order.LatestDispatch()) continue;
-      candidates.push_back(other_id);
-    }
-    std::sort(candidates.begin(), candidates.end());
-  }
-  pair_tests_ += static_cast<int64_t>(candidates.size());
+  // Residents in ascending-id order, listed once for the whole batch.
+  auto by_id = [](const Order* a, const Order* b) { return a->id < b->id; };
+  std::vector<const Order*> residents;
+  residents.reserve(entries_.size());
+  for (const auto& [id, entry] : entries_) residents.push_back(&entry.order);
+  std::sort(residents.begin(), residents.end(), by_id);
 
-  // Fan-out phase: pair-feasibility tests are pure (planner + oracle are
-  // thread-safe; the graph is not mutated), each writing only its own slot.
-  struct TestedEdge {
-    ShareEdge edge;
-    GroupPlan plan;
+  // Candidate partners of each arrival, quick-rejected up front: an order
+  // past its latest dispatch can never be part of a feasible route, and
+  // the planner would discover that the expensive way. An arrival's
+  // candidates are the residents and the earlier admitted arrivals of the
+  // batch — exactly the pool a sequential insert would see, since nothing
+  // else changes between arrivals — sorted by id, which fixes the commit
+  // order below for any thread count (ParallelMaintenanceMatchesSerial,
+  // BatchInsertMatchesSequential). Arrival i's tests are
+  // pairs[first[i], first[i + 1]).
+  struct PairTest {
+    const Order* arrival;
+    const Order* partner;
+    Time now;
   };
-  auto test_pair = [&](size_t i) -> std::optional<TestedEdge> {
-    const Order& candidate = entries_.find(candidates[i])->second.order;
-    auto plan = planner_->PlanBest({&entry.order, &candidate}, now,
+  std::vector<PairTest> pairs;
+  std::vector<size_t> first(arrivals.size() + 1, 0);
+  std::vector<const Order*> admitted;
+  std::vector<const Order*> candidates;
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    first[i] = pairs.size();
+    const Order& order = arrivals[i].order;
+    const Time now = arrivals[i].now;
+    const bool taken =
+        entries_.count(order.id) > 0 ||
+        std::any_of(admitted.begin(), admitted.end(),
+                    [&order](const Order* a) { return a->id == order.id; });
+    if (taken) {
+      outcomes[i].status = Status::AlreadyExists(
+          "order " + std::to_string(order.id) + " already pooled");
+      continue;
+    }
+    if (now <= order.LatestDispatch()) {
+      candidates.clear();
+      for (const Order* other : residents) {
+        if (now <= other->LatestDispatch()) candidates.push_back(other);
+      }
+      for (const Order* other : admitted) {
+        if (now <= other->LatestDispatch()) candidates.push_back(other);
+      }
+      std::sort(candidates.begin(), candidates.end(), by_id);
+      for (const Order* partner : candidates) {
+        pairs.push_back(PairTest{&order, partner, now});
+      }
+    }
+    admitted.push_back(&order);
+  }
+  first[arrivals.size()] = pairs.size();
+  pair_tests_ += static_cast<int64_t>(pairs.size());
+
+  // Fan-out phase: one fork-join for the whole batch. Pair-feasibility
+  // tests are pure (they read only the two orders, and the planner and
+  // oracle are thread-safe; the graph is not mutated), each writing only
+  // its own slot.
+  auto test_pair = [&](size_t k) -> std::optional<PairPlanSeed> {
+    const PairTest& test = pairs[k];
+    auto plan = planner_->PlanBest({test.arrival, test.partner}, test.now,
                                    options_.capacity);
     if (!plan.ok()) return std::nullopt;
     if (options_.require_overlap && !RouteInterleaves(plan->route)) {
       return std::nullopt;
     }
-    ShareEdge edge{candidates[i], plan->latest_departure, plan->total_cost};
-    return TestedEdge{edge, std::move(plan).value()};
+    return PairPlanSeed{test.partner->id, std::move(plan).value()};
   };
-  std::vector<std::optional<TestedEdge>> tested;
-  executor_->ParallelMap(candidates.size(), kParallelGrain, &tested,
-                         test_pair);
+  std::vector<std::optional<PairPlanSeed>> tested;
+  executor_->ParallelMap(pairs.size(), kParallelGrain, &tested, test_pair);
 
-  // Ordered commit: mirror each surviving edge on both endpoints, ascending
-  // by candidate id, and surface the plan behind it for cache seeding.
-  std::vector<OrderId> gained;
-  for (std::optional<TestedEdge>& t : tested) {
-    if (!t.has_value()) continue;
-    entry.edges.push_back(t->edge);
-    entries_.find(t->edge.other)
-        ->second.edges.push_back(
-            ShareEdge{order.id, t->edge.expiry, t->edge.pair_cost});
-    ++edge_count_;
-    gained.push_back(t->edge.other);
-    if (pair_plans != nullptr) {
-      pair_plans->push_back(PairPlanSeed{t->edge.other, std::move(t->plan)});
+  // Ordered commit, arrival by arrival: mirror each surviving edge on both
+  // endpoints, ascending by partner id, and surface the plan behind it for
+  // cache seeding. An earlier arrival's entry exists before a later one
+  // links to it.
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    if (!outcomes[i].ok()) continue;
+    Entry entry;
+    entry.order = arrivals[i].order;
+    entry.inserted_at = arrivals[i].now;
+    for (size_t k = first[i]; k < first[i + 1]; ++k) {
+      if (!tested[k].has_value()) continue;
+      PairPlanSeed& seed = *tested[k];
+      const ShareEdge edge{seed.other, seed.plan.latest_departure,
+                           seed.plan.total_cost};
+      entry.edges.push_back(edge);
+      entries_.find(seed.other)
+          ->second.edges.push_back(
+              ShareEdge{entry.order.id, edge.expiry, edge.pair_cost});
+      ++edge_count_;
+      outcomes[i].edges.push_back(std::move(seed));
     }
+    entries_.emplace(entry.order.id, std::move(entry));
   }
-  entries_.emplace(order.id, std::move(entry));
-  return gained;
+  return outcomes;
 }
 
 Result<std::vector<OrderId>> ShareabilityGraph::Remove(OrderId id) {

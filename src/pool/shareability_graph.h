@@ -13,11 +13,12 @@
 // sequential chaining satisfies the route constraints but provides no pooling
 // benefit and would make the graph near-complete; the paper's shareability
 // notion ("orders that can be shared in a group") is interpreted as true
-// sharing. See DESIGN.md, key decisions.
+// sharing. See docs/ARCHITECTURE.md, "Design decisions".
 #ifndef WATTER_POOL_SHAREABILITY_GRAPH_H_
 #define WATTER_POOL_SHAREABILITY_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +45,26 @@ struct PairPlanSeed {
   GroupPlan plan;
 };
 
+/// An order joining the pool at time `now` (its release, or a later
+/// re-insertion time).
+struct Arrival {
+  Order order;
+  Time now = 0.0;
+};
+
+/// What Insert did with one arrival.
+struct InsertOutcome {
+  /// Ok, or AlreadyExists when the id was resident or an earlier arrival
+  /// of the same batch took it.
+  Status status;
+  /// One entry per new edge, ascending by partner id: the resident that
+  /// gained the edge (its best group may improve) and the pair plan that
+  /// certified it, so callers can seed their plan caches.
+  std::vector<PairPlanSeed> edges;
+
+  bool ok() const { return status.ok(); }
+};
+
 /// Configuration of edge creation.
 struct ShareabilityOptions {
   /// Vehicle capacity assumed when testing pair routes (the fleet's max).
@@ -56,10 +77,10 @@ struct ShareabilityOptions {
 ///
 /// Concurrency model: the graph itself is single-writer — all mutation
 /// happens on the caller's thread. Insert and ExpireEdges fan their pure
-/// per-candidate/per-entry work out over the executor and commit the
-/// results serially in ascending-id order, so the resulting graph is
-/// bitwise identical for any thread count (see thread_pool.h, determinism
-/// contract).
+/// per-pair/per-entry work out over the executor and commit the results
+/// serially (arrival by arrival, each ascending by partner id), so the
+/// resulting graph is bitwise identical for any thread count (see
+/// thread_pool.h, determinism contract).
 class ShareabilityGraph {
  public:
   ShareabilityGraph(RoutePlanner* planner, ShareabilityOptions options)
@@ -72,14 +93,18 @@ class ShareabilityGraph {
     executor_ = executor != nullptr ? executor : &ThreadPool::Inline();
   }
 
-  /// Inserts `order` at time `now`, computing edges against every resident
-  /// order. Returns the ids of existing orders that gained an edge (their
-  /// best group may improve). AlreadyExists if the id is resident. When
-  /// `pair_plans` is non-null it receives the plan behind every new edge
-  /// (ascending by neighbor id) so callers can seed their plan caches.
-  Result<std::vector<OrderId>> Insert(
-      const Order& order, Time now,
-      std::vector<PairPlanSeed>* pair_plans = nullptr);
+  /// Inserts `arrivals` in order, with exactly the edges, counters and
+  /// adjacency order that one Insert call per arrival would produce: each
+  /// arrival is tested against the residents and the earlier admitted
+  /// arrivals of the batch. All of the batch's pair tests run in one
+  /// fan-out. Returns one outcome per arrival, in input order.
+  std::vector<InsertOutcome> Insert(std::span<const Arrival> arrivals);
+
+  /// A batch of one.
+  InsertOutcome Insert(const Order& order, Time now) {
+    const Arrival arrival{order, now};
+    return std::move(Insert(std::span(&arrival, 1)).front());
+  }
 
   /// Removes an order and all its edges. Returns the ids of former
   /// neighbors. NotFound if absent.

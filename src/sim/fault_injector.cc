@@ -1,6 +1,7 @@
 #include "src/sim/fault_injector.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,11 +29,16 @@ bool ParseCount(const std::string& text, int* out) {
   return true;
 }
 
+// Decimal, octal or hex (the default is 0xFA1157). strtoull would negate a
+// leading '-' and saturate on overflow, so a sign and ERANGE are rejected.
 bool ParseSeed(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
+  if (text.empty() || text.find_first_of("+-") != std::string::npos) {
+    return false;
+  }
   char* end = nullptr;
+  errno = 0;
   *out = std::strtoull(text.c_str(), &end, 0);
-  return end == text.c_str() + text.size();
+  return errno != ERANGE && end == text.c_str() + text.size();
 }
 
 }  // namespace

@@ -158,14 +158,17 @@ void WatterPlatform::Observe(const Order& order, Time now, int action,
   observer_(obs);
 }
 
-void WatterPlatform::InsertArrival(const Order& order, Time now) {
-  if (!pool_.Insert(order, now).ok()) return;
-  ++pooled_pickups_[fleet_.CellOf(order.pickup)];
-  ++pooled_dropoffs_[fleet_.CellOf(order.dropoff)];
+void WatterPlatform::InsertArrivals(std::span<const Arrival> arrivals) {
+  const std::vector<Status> statuses = pool_.Insert(arrivals);
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    if (!statuses[i].ok()) continue;
+    ++pooled_pickups_[fleet_.CellOf(arrivals[i].order.pickup)];
+    ++pooled_dropoffs_[fleet_.CellOf(arrivals[i].order.dropoff)];
+  }
 }
 
 void WatterPlatform::UncountDemand(const Order& order) {
-  // Every pooled order was counted by InsertArrival, so a negative count
+  // Every pooled order was counted by InsertArrivals, so a negative count
   // would mean the pool and the demand counts have diverged.
   const int pickups = --pooled_pickups_[fleet_.CellOf(order.pickup)];
   const int dropoffs = --pooled_dropoffs_[fleet_.CellOf(order.dropoff)];
@@ -681,7 +684,8 @@ void WatterPlatform::RecoverTrip(WorkerId id, Time now) {
     // ORIGINAL order's penalty, like a rejection.
     order.deadline = std::max(order.deadline, now) + fault_spec_.grace;
     if (order.LatestDispatch() >= now) {
-      InsertArrival(order, now);
+      const Arrival arrival{order, now};
+      InsertArrivals(std::span(&arrival, 1));
       ++fault_stats_.recovered_orders;
     } else {
       metrics_.RecordFailedService(member.order);
@@ -815,10 +819,21 @@ MetricsReport WatterPlatform::Run() {
         next_check = arrival + options_.check_period;
       }
       if (arrival <= next_check) {
-        fleet_.ReleaseUntil(arrival);
-        InsertArrival(orders[next_order], arrival);
-        ++next_order;
-        last_event = arrival;
+        // An arrival only joins the shareability graph, and nothing reads
+        // the pool before the next check, so every order released by then
+        // is pooled as one batch: one pair-test fan-out, committed exactly
+        // as one insert per order would be (ShareabilityGraph::Insert).
+        // The fleet releases its finished trips in time order either way.
+        std::vector<Arrival> batch;
+        for (; next_order < orders.size() &&
+               orders[next_order].release <= next_check;
+             ++next_order) {
+          batch.push_back(
+              Arrival{orders[next_order], orders[next_order].release});
+        }
+        last_event = batch.back().now;
+        fleet_.ReleaseUntil(last_event);
+        InsertArrivals(batch);
       } else {
         fleet_.ReleaseUntil(next_check);
         RunCheck(next_check);

@@ -6,7 +6,8 @@
 // pluggable ThresholdProvider, assigns dispatched groups to the closest
 // available worker, and accumulates the paper's four metrics.
 //
-// Dispatch/hold semantics implemented here (see DESIGN.md):
+// Dispatch/hold semantics implemented here (docs/ARCHITECTURE.md, "Design
+// decisions"):
 //  - A group is dispatched when Algorithm 2 says so, or when holding it past
 //    the next check would let it expire (feasibility-forced dispatch; this
 //    is what "as late as possible" means for WATTER-timeout).
@@ -20,6 +21,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -171,7 +173,9 @@ class WatterPlatform {
     std::vector<AboardMember> members;
   };
 
-  void InsertArrival(const Order& order, Time now);
+  /// Pools `arrivals` as one batch and counts the demand of each order
+  /// the pool admitted.
+  void InsertArrivals(std::span<const Arrival> arrivals);
   void RunCheck(Time now);
   /// The sequential decision/dispatch loop (DispatchMode::kSerial).
   /// `propose_ids` is the budget-eligible subset of `ids` (== `ids` when
@@ -298,7 +302,7 @@ class WatterPlatform {
   std::vector<int64_t> counter_base_;
   int64_t round_counter_ = 0;
   // Pooled orders' pickups and drop-offs per feature-grid cell, kept live
-  // by InsertArrival and UncountDemand.
+  // by InsertArrivals and UncountDemand.
   std::vector<int> pooled_pickups_;
   std::vector<int> pooled_dropoffs_;
   std::function<void(const DecisionObservation&)> observer_;

@@ -16,7 +16,7 @@ namespace watter {
 
 /// Knobs mirroring Table III (defaults in italics there: n base, m=5000,
 /// tau=1.6, Kw=4, alpha=beta=1) plus the scale-down factor documented in
-/// DESIGN.md substitution 3.
+/// docs/ARCHITECTURE.md, "Design decisions".
 struct WorkloadOptions {
   DatasetKind dataset = DatasetKind::kCdc;
   int num_orders = 4000;   ///< n (scaled down from the paper's 30k-125k).

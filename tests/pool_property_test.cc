@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -329,6 +331,140 @@ TEST_P(PoolRebuildPropertyTest, ParallelMaintenanceMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolRebuildPropertyTest,
                          testing::Values(11, 222, 3303));
+
+// ---------------------------------------------------------------------------
+// Batched arrival insertion vs one insert per arrival.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Raw adjacency lists, unsorted: the order edges were committed in is part
+// of what batching must preserve.
+void ExpectSameRawEdges(const OrderPool& a, const OrderPool& b) {
+  ASSERT_EQ(a.SortedOrderIds(), b.SortedOrderIds());
+  EXPECT_EQ(a.graph().edge_count(), b.graph().edge_count());
+  for (OrderId id : a.SortedOrderIds()) {
+    const std::vector<ShareEdge>& edges_a = a.graph().Neighbors(id);
+    const std::vector<ShareEdge>& edges_b = b.graph().Neighbors(id);
+    ASSERT_EQ(edges_a.size(), edges_b.size()) << "node " << id;
+    for (size_t i = 0; i < edges_a.size(); ++i) {
+      EXPECT_EQ(edges_a[i].other, edges_b[i].other) << "node " << id;
+      EXPECT_EQ(Bits(edges_a[i].expiry), Bits(edges_b[i].expiry))
+          << "node " << id;
+      EXPECT_EQ(Bits(edges_a[i].pair_cost), Bits(edges_b[i].pair_cost))
+          << "node " << id;
+    }
+  }
+}
+
+class PoolBatchInsertTest : public testing::TestWithParam<uint64_t> {};
+
+// The platform pools every order released before the next check as one
+// batch. Replaying an op stream with each run of consecutive inserts cut
+// into batches of 1-8, a pool that inserts whole batches on a 4-thread
+// executor must stay bitwise equal to an inline pool that inserts one order
+// per call: statuses, raw adjacency lists, edge count, every work counter
+// (pair tests and plan-cache seeds included) and the refreshed best groups.
+// Some batches also carry a duplicate id (of an earlier arrival of the
+// batch, or of a resident), or re-pool a removed order with a later
+// deadline, as dropout recovery does: its old id puts the batch's arrivals
+// out of id order, so each candidate list must be sorted, not appended.
+TEST_P(PoolBatchInsertTest, BatchInsertMatchesSequential) {
+  auto city = GenerateCity({.width = 14, .height = 14, .seed = GetParam()});
+  ASSERT_TRUE(city.ok());
+  auto oracle = BuildOracle(city->graph, OracleKind::kMatrix);
+  ASSERT_TRUE(oracle.ok());
+
+  Time end_time = 0.0;
+  std::vector<PoolOp> ops =
+      MakeOpStream(*city, oracle->get(), GetParam(), 250, &end_time);
+
+  ThreadPool executor(4);
+  OrderPool sequential(oracle->get(), PoolOptions{});
+  OrderPool batched(oracle->get(), PoolOptions{});
+  batched.set_executor(&executor);
+
+  Rng cuts(GetParam() * 31 + 3);
+  auto pick = [&cuts](size_t size) {
+    return static_cast<size_t>(
+        cuts.UniformInt(0, static_cast<int64_t>(size) - 1));
+  };
+  std::vector<Order> removed;
+  int multi_batches = 0;
+  int duplicates = 0;
+  int repooled = 0;
+  int checkpoints = 0;
+  size_t next_checkpoint = 25;
+  for (size_t step = 0; step < ops.size();) {
+    if (ops[step].kind != PoolOp::kInsert) {
+      if (ops[step].kind == PoolOp::kRemove) {
+        removed.push_back(*sequential.GetOrder(ops[step].target));
+      }
+      ApplyOp(&sequential, ops[step]);
+      ApplyOp(&batched, ops[step]);
+      if (testing::Test::HasFatalFailure()) return;
+      ++step;
+    } else {
+      const size_t limit = step + static_cast<size_t>(cuts.UniformInt(1, 8));
+      std::vector<Arrival> batch;
+      for (; step < ops.size() && step < limit &&
+             ops[step].kind == PoolOp::kInsert;
+           ++step) {
+        batch.push_back(Arrival{ops[step].order, ops[step].inserted_at});
+      }
+      const Time now = batch.back().now;
+      const double extra = cuts.Uniform();
+      const std::vector<OrderId> residents = sequential.SortedOrderIds();
+      if (extra < 0.2) {
+        const Order& copy = batch.size() > 1 || residents.empty()
+                                ? batch[pick(batch.size())].order
+                                : *sequential.GetOrder(
+                                      residents[pick(residents.size())]);
+        batch.push_back(Arrival{copy, now});
+        ++duplicates;
+      } else if (extra < 0.6 && !removed.empty()) {
+        const size_t which = pick(removed.size());
+        Order order = removed[which];
+        removed.erase(removed.begin() + static_cast<int64_t>(which));
+        const size_t at = pick(batch.size() + 1);
+        const Time at_time = batch[at > 0 ? at - 1 : 0].now;
+        order.deadline = at_time + order.shortest_cost + 600.0;
+        batch.insert(batch.begin() + static_cast<int64_t>(at),
+                     Arrival{order, at_time});
+        ++repooled;
+      }
+      if (batch.size() > 1) ++multi_batches;
+      const std::vector<Status> statuses = batched.Insert(batch);
+      ASSERT_EQ(statuses.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Status one = sequential.Insert(batch[i].order, batch[i].now);
+        EXPECT_EQ(statuses[i].code(), one.code()) << "arrival " << i;
+      }
+    }
+    if (step < next_checkpoint && step != ops.size()) continue;
+    while (next_checkpoint <= step) next_checkpoint += 25;
+    ++checkpoints;
+
+    ExpectSameRawEdges(sequential, batched);
+    EXPECT_EQ(sequential.Stats(), batched.Stats());
+    const Time now = ops[step - 1].now;
+    std::vector<OrderId> ids = sequential.SortedOrderIds();
+    sequential.RefreshBestGroups(ids, now);
+    batched.RefreshBestGroups(ids, now);
+    ExpectSameBestGroups(&sequential, &batched, ids, now);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(sequential.Stats(), batched.Stats());
+  EXPECT_GE(checkpoints, 8);
+  // The cuts formed real batches and took every side path.
+  EXPECT_GT(multi_batches, 10);
+  EXPECT_GT(duplicates, 3);
+  EXPECT_GT(repooled, 3);
+  EXPECT_GT(batched.Stats().plan_cache_seeds, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PoolBatchInsertTest,
+                         testing::Values(41, 502, 7007));
 
 // ---------------------------------------------------------------------------
 // Churn-heavy incremental maintenance: reverse index + shared plan cache.

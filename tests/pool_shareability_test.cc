@@ -31,8 +31,8 @@ TEST_F(ShareabilityGraphTest, InsertCreatesEdgesForShareablePairs) {
   auto gained = share_.Insert(orders_[2], orders_[2].release);
   ASSERT_TRUE(gained.ok());
   // o1 (a->c) and o3 (d->c) share route d->a->c: edge expected.
-  ASSERT_EQ(gained->size(), 1u);
-  EXPECT_EQ((*gained)[0], orders_[0].id);
+  ASSERT_EQ(gained.edges.size(), 1u);
+  EXPECT_EQ(gained.edges[0].other, orders_[0].id);
   EXPECT_TRUE(share_.HasEdge(orders_[0].id, orders_[2].id));
   EXPECT_TRUE(share_.HasEdge(orders_[2].id, orders_[0].id));
   EXPECT_EQ(share_.edge_count(), 1);
@@ -53,7 +53,7 @@ TEST_F(ShareabilityGraphTest, EdgeCarriesPairCostAndExpiry) {
 
 TEST_F(ShareabilityGraphTest, DuplicateInsertFails) {
   ASSERT_TRUE(share_.Insert(orders_[0], 5).ok());
-  EXPECT_EQ(share_.Insert(orders_[0], 6).status().code(),
+  EXPECT_EQ(share_.Insert(orders_[0], 6).status.code(),
             StatusCode::kAlreadyExists);
 }
 
@@ -81,7 +81,7 @@ TEST_F(ShareabilityGraphTest, NonShareablePairGetsNoEdge) {
   ASSERT_TRUE(share_.Insert(o1, o1.release).ok());
   auto gained = share_.Insert(o4, o4.release);
   ASSERT_TRUE(gained.ok());
-  EXPECT_TRUE(gained->empty());
+  EXPECT_TRUE(gained.edges.empty());
   EXPECT_FALSE(share_.HasEdge(o1.id, o4.id));
 }
 
@@ -145,8 +145,64 @@ TEST_F(ShareabilityGraphTest, LateInsertSkipsExpiredCandidates) {
   int64_t tests_before = share_.pair_tests();
   auto gained = share_.Insert(orders_[2], too_late);
   ASSERT_TRUE(gained.ok());
-  EXPECT_TRUE(gained->empty());
+  EXPECT_TRUE(gained.edges.empty());
   EXPECT_EQ(share_.pair_tests(), tests_before);  // Quick-reject, no plan.
+}
+
+// Batched insertion: each arrival sees the residents and the earlier
+// admitted arrivals of its batch, under the same quick-reject rules as one
+// Insert call per arrival.
+
+TEST_F(ShareabilityGraphTest, BatchKeepsTheFirstCopyOfADuplicateId) {
+  Order second_copy = orders_[0];
+  second_copy.pickup = testutil::kE;
+  const std::vector<Arrival> batch = {
+      {orders_[0], 5}, {orders_[2], 10}, {second_copy, 12}};
+  std::vector<InsertOutcome> outcomes = share_.Insert(batch);
+  ASSERT_EQ(outcomes.size(), 3u);
+  ASSERT_TRUE(outcomes[0].ok());
+  ASSERT_TRUE(outcomes[1].ok());
+  ASSERT_EQ(outcomes[1].edges.size(), 1u);
+  EXPECT_EQ(outcomes[1].edges[0].other, orders_[0].id);
+  EXPECT_EQ(outcomes[2].status.code(), StatusCode::kAlreadyExists);
+  EXPECT_TRUE(outcomes[2].edges.empty());
+  EXPECT_EQ(share_.size(), 2u);
+  EXPECT_EQ(share_.GetOrder(orders_[0].id)->pickup, testutil::kA);
+  EXPECT_DOUBLE_EQ(share_.InsertedAt(orders_[0].id), 5.0);
+  EXPECT_EQ(share_.pair_tests(), 1);  // The duplicate planned nothing.
+  EXPECT_EQ(share_.edge_count(), 1);
+}
+
+TEST_F(ShareabilityGraphTest, BatchArrivalPastItsLatestDispatchGetsNoTests) {
+  ASSERT_TRUE(share_.Insert(orders_[1], orders_[1].release).ok());
+  const Time too_late = orders_[2].LatestDispatch() + 1.0;
+  const std::vector<Arrival> batch = {{orders_[0], orders_[0].release},
+                                      {orders_[2], too_late}};
+  std::vector<InsertOutcome> outcomes = share_.Insert(batch);
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[1].ok());
+  EXPECT_TRUE(outcomes[1].edges.empty());
+  EXPECT_TRUE(share_.Contains(orders_[2].id));
+  EXPECT_TRUE(share_.Neighbors(orders_[2].id).empty());
+  // Order 1 tested its one resident; the late arrival tested no one.
+  EXPECT_EQ(share_.pair_tests(), 1);
+}
+
+TEST_F(ShareabilityGraphTest, BatchSkipsAnEarlierArrivalThatExpiredMeanwhile) {
+  const Order& stale = orders_[0];
+  const Time later = stale.LatestDispatch() + 1.0;
+  Order fresh = orders_[2];  // Shares with `stale` at its own release.
+  fresh.deadline = later + 20 * kMin;
+  const std::vector<Arrival> batch = {{stale, stale.release},
+                                      {fresh, later}};
+  std::vector<InsertOutcome> outcomes = share_.Insert(batch);
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[0].ok());
+  ASSERT_TRUE(outcomes[1].ok());
+  EXPECT_TRUE(outcomes[1].edges.empty());
+  EXPECT_EQ(share_.size(), 2u);
+  EXPECT_EQ(share_.pair_tests(), 0);  // Quick-rejected, never planned.
+  EXPECT_FALSE(share_.HasEdge(stale.id, fresh.id));
 }
 
 TEST_F(ShareabilityGraphTest, AccessorsOnUnknownIds) {

@@ -13,6 +13,7 @@
 // reproduction guarantee the CLI baselines check across PRs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
 #include <set>
 #include <string>
@@ -67,13 +68,25 @@ TEST(FaultInjectionTest, CommaSeparatorAndWhitespaceAccepted) {
   EXPECT_EQ(spec->brownouts, 1);
 }
 
+TEST(FaultInjectionTest, SeedTakesHexAndTheFullUnsignedRange) {
+  auto hex = ParseFaultSpec("seed=0xFA1157");
+  ASSERT_TRUE(hex.ok()) << hex.status().ToString();
+  EXPECT_EQ(hex->seed, 0xFA1157u);
+  auto top = ParseFaultSpec("seed=18446744073709551615");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->seed, UINT64_MAX);
+}
+
 TEST(FaultInjectionTest, MalformedSpecsAreInvalidArgument) {
   for (const char* bad : {"dropout=3",          // Unknown key.
                           "dropouts",           // Missing value.
                           "dropouts=abc",       // Not a number.
                           "dropouts=-1",        // Out of domain.
                           "brownout_factor=0",  // Must be positive.
-                          "downtime=-5", "grace=-1"}) {
+                          "downtime=-5", "grace=-1",
+                          "seed=-1",     // Would wrap to 2^64 - 1.
+                          "seed=+7",     // No sign either way.
+                          "seed=99999999999999999999999"}) {  // Overflow.
     auto spec = ParseFaultSpec(bad);
     EXPECT_FALSE(spec.ok()) << "accepted: " << bad;
     if (!spec.ok()) {
