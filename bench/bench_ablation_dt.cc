@@ -7,6 +7,7 @@ int main(int argc, char** argv) {
   using namespace watter;
   using namespace watter::bench;
   bool quick = QuickMode(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   WorkloadOptions base = BaseWorkload(DatasetKind::kCdc);
   std::vector<double> sweep = {2.0, 5.0, 10.0, 20.0, 40.0};

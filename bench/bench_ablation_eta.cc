@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   using namespace watter;
   using namespace watter::bench;
   bool quick = QuickMode(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   WorkloadOptions base = BaseWorkload(DatasetKind::kCdc);
   std::vector<double> sweep = {0.2, 0.4, 0.6, 0.8, 1.0, 1.2};

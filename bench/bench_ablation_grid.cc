@@ -7,6 +7,7 @@ int main(int argc, char** argv) {
   using namespace watter;
   using namespace watter::bench;
   bool quick = QuickMode(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   WorkloadOptions base = BaseWorkload(DatasetKind::kCdc);
   std::vector<int> sweep = {4, 8, 10, 16, 24};

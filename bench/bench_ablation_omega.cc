@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   using namespace watter;
   using namespace watter::bench;
   bool quick = QuickMode(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   WorkloadOptions base = BaseWorkload(DatasetKind::kCdc);
   std::vector<double> omegas = {0.0, 0.25, 0.5, 0.75, 1.0};

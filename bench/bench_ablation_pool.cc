@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace watter;
   using namespace watter::bench;
   (void)QuickMode(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   WorkloadOptions base = BaseWorkload(DatasetKind::kCdc);
 

@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace watter;
   using namespace watter::bench;
   bool quick = QuickMode(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   WorkloadOptions base = BaseWorkload(DatasetKind::kCdc);
   std::vector<double> thetas = {0, 15, 30, 60, 120, 240, 480, 1e9};

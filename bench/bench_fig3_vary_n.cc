@@ -19,8 +19,12 @@ int main(int argc, char** argv) {
   BenchJson().path = BenchJsonPath(argc, argv);
   BenchJson().threads = threads;
   BenchJson().faults = faults;
+  const std::vector<DatasetKind> datasets = BenchDatasets(argc, argv, quick);
+  const std::string trace_path = BenchTracePath(argc, argv);
+  const std::string timeline_path = BenchTimelinePath(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
-  for (DatasetKind dataset : BenchDatasets(argc, argv, quick)) {
+  for (DatasetKind dataset : datasets) {
     WorkloadOptions base = BaseWorkload(dataset);
     base.num_threads = threads;
     base.faults = faults;
@@ -36,8 +40,8 @@ int main(int argc, char** argv) {
     }
     // Observability taps ride on the workload so every simulated run of the
     // sweep inherits them; the training days above stay untraced.
-    base.trace_path = BenchTracePath(argc, argv);
-    base.timeline_path = BenchTimelinePath(argc, argv);
+    base.trace_path = trace_path;
+    base.timeline_path = timeline_path;
     std::vector<int> sweep;
     int base_n = base.num_orders;
     for (double factor : {0.5, 0.75, 1.0, 1.25}) {

@@ -16,6 +16,9 @@ int main(int argc, char** argv) {
   BenchJson().path = BenchJsonPath(argc, argv);
   BenchJson().threads = threads;
   BenchJson().dispatch = DispatchName(sim.dispatch);
+  const std::string trace_path = BenchTracePath(argc, argv);
+  const std::string timeline_path = BenchTimelinePath(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   for (DatasetKind dataset : BenchDatasets(quick)) {
     WorkloadOptions base = BaseWorkload(dataset);
@@ -31,8 +34,8 @@ int main(int argc, char** argv) {
       model = std::make_unique<ExpectModel>(std::move(trained).value());
     }
     // Observability taps (training days above stay untraced).
-    base.trace_path = BenchTracePath(argc, argv);
-    base.timeline_path = BenchTimelinePath(argc, argv);
+    base.trace_path = trace_path;
+    base.timeline_path = timeline_path;
     std::vector<int> sweep = {2, 3, 4, 5};
     if (quick) sweep = {2, 5};
     RunSweep<int>(

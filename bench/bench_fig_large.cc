@@ -253,6 +253,7 @@ bool RunScale(const GeoScale& scale) {
 
 int main(int argc, char** argv) {
   BenchJson().path = BenchJsonPath(argc, argv);
+  RejectUnreadArgs(argc, argv);
 
   // Always-run smoke shape: same code paths at a size that finishes in
   // seconds, so the A/B (and the divergence check) runs in every tier.

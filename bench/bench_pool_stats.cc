@@ -21,7 +21,6 @@
 // Usage: bench_pool_stats [--json FILE] [--label NAME]
 // CMake target `bench_pool_json` runs this with --json
 // ${CMAKE_BINARY_DIR}/BENCH_pool.json.
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -198,9 +197,10 @@ void RunRepeatedAnchor() {
 
 int main(int argc, char** argv) {
   BenchJson().path = BenchJsonPath(argc, argv);
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--label") == 0) g_label = argv[i + 1];
-  }
+  const std::vector<const char*> labels =
+      FlagValues(argc, argv, "--label", "NAME");
+  if (!labels.empty()) g_label = labels.back();
+  RejectUnreadArgs(argc, argv);
   RunEndToEnd(DispatchMode::kSerial);
   RunEndToEnd(DispatchMode::kBatched);
   RunDepartureChurn();

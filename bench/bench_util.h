@@ -13,6 +13,7 @@
 #ifndef WATTER_BENCH_BENCH_UTIL_H_
 #define WATTER_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,24 +33,84 @@
 namespace watter {
 namespace bench {
 
+/// What the flag readers below have seen, for RejectUnreadArgs: which argv
+/// entries they consumed and which flags the program reads.
+struct ArgLedger {
+  std::vector<bool> consumed;      ///< Indexed by argv position.
+  std::vector<std::string> flags;  ///< "--flag" or "--flag VALUE".
+};
+
+/// The ledger, after noting that the program reads `usage` (when given).
+inline ArgLedger& Ledger(int argc, const std::string& usage = "") {
+  static ArgLedger ledger;
+  if (ledger.consumed.size() < static_cast<size_t>(argc)) {
+    ledger.consumed.resize(argc, false);
+  }
+  if (!usage.empty() && std::find(ledger.flags.begin(), ledger.flags.end(),
+                                  usage) == ledger.flags.end()) {
+    ledger.flags.push_back(usage);
+  }
+  return ledger;
+}
+
+/// True when the switch `flag` appears in argv; marks each occurrence read.
+inline bool HasSwitch(int argc, char** argv, const char* flag) {
+  ArgLedger& ledger = Ledger(argc, flag);
+  bool found = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) ledger.consumed[i] = found = true;
+  }
+  return found;
+}
+
+/// The value after each occurrence of `flag` in argv, in order; marks each
+/// flag and its value read. `value_name` names the value in the usage list.
+inline std::vector<const char*> FlagValues(int argc, char** argv,
+                                           const char* flag,
+                                           const char* value_name) {
+  ArgLedger& ledger = Ledger(argc, std::string(flag) + " " + value_name);
+  std::vector<const char*> values;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) {
+      ledger.consumed[i] = ledger.consumed[i + 1] = true;
+      values.push_back(argv[i + 1]);
+    }
+  }
+  return values;
+}
+
+/// Exits 2 on the first argument no flag reader consumed — a typo, a flag
+/// this program does not read, or a flag without its value — naming it and
+/// the flags the program does read. Call once, after every reader and
+/// before any work, so a bad command line never runs a sweep.
+inline void RejectUnreadArgs(int argc, char** argv) {
+  ArgLedger& ledger = Ledger(argc);
+  for (int i = 1; i < argc; ++i) {
+    if (ledger.consumed[i]) continue;
+    std::string flags;
+    for (const std::string& usage : ledger.flags) {
+      flags += (flags.empty() ? "" : ", ") + usage;
+    }
+    std::fprintf(stderr, "%s: unrecognized argument '%s'\nflags read: %s\n",
+                 argv[0], argv[i], flags.c_str());
+    std::exit(2);
+  }
+}
+
 /// True when `--quick` is passed or WATTER_BENCH_QUICK is set: fewer sweep
 /// points and no RL training, for smoke runs.
 inline bool QuickMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) return true;
-  }
-  return std::getenv("WATTER_BENCH_QUICK") != nullptr;
+  return HasSwitch(argc, argv, "--quick") ||
+         std::getenv("WATTER_BENCH_QUICK") != nullptr;
 }
 
 /// Threads the simulated platforms run on: `--threads T` or
 /// WATTER_BENCH_THREADS (0 = all hardware threads; default 1 = serial).
 /// Metrics are thread-count-independent, so sweeps stay comparable.
 inline int BenchThreads(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      return std::atoi(argv[i + 1]);
-    }
-  }
+  const std::vector<const char*> values =
+      FlagValues(argc, argv, "--threads", "T");
+  if (!values.empty()) return std::atoi(values.front());
   const char* env = std::getenv("WATTER_BENCH_THREADS");
   return env != nullptr ? std::atoi(env) : 1;
 }
@@ -63,10 +124,9 @@ inline const char* DispatchName(DispatchMode mode) {
 /// platform default since the engine A/B); `both` produces the
 /// serial-vs-batched A/B the JSON baseline records.
 inline std::vector<DispatchMode> BenchDispatchModes(int argc, char** argv) {
-  const char* value = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--dispatch") == 0) value = argv[i + 1];
-  }
+  const std::vector<const char*> values =
+      FlagValues(argc, argv, "--dispatch", "serial|batched|both");
+  const char* value = values.empty() ? nullptr : values.back();
   if (value == nullptr) value = std::getenv("WATTER_BENCH_DISPATCH");
   if (value == nullptr || std::strcmp(value, "batched") == 0) {
     return {DispatchMode::kBatched};
@@ -86,10 +146,9 @@ inline std::vector<DispatchMode> BenchDispatchModes(int argc, char** argv) {
 /// the GDP/GAS baselines ignore faults, so drivers skip them when a spec is
 /// set.
 inline std::string BenchFaultSpec(int argc, char** argv) {
-  const char* value = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--faults") == 0) value = argv[i + 1];
-  }
+  const std::vector<const char*> values =
+      FlagValues(argc, argv, "--faults", "SPEC");
+  const char* value = values.empty() ? nullptr : values.back();
   if (value == nullptr) value = std::getenv("WATTER_BENCH_FAULTS");
   if (value == nullptr) return "";
   Result<FaultSpec> parsed = ParseFaultSpec(value);
@@ -152,9 +211,9 @@ inline JsonSink& BenchJson() {
 }
 
 inline std::string BenchJsonPath(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
-  }
+  const std::vector<const char*> values =
+      FlagValues(argc, argv, "--json", "FILE");
+  if (!values.empty()) return values.front();
   const char* env = std::getenv("WATTER_BENCH_JSON");
   return env != nullptr ? env : "";
 }
@@ -165,9 +224,9 @@ inline std::string BenchJsonPath(int argc, char** argv) {
 /// buffer, so FILE ends up covering the full sweep on one timeline.
 /// Run-neutral: metrics are bitwise identical with or without it.
 inline std::string BenchTracePath(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) return argv[i + 1];
-  }
+  const std::vector<const char*> values =
+      FlagValues(argc, argv, "--trace", "FILE");
+  if (!values.empty()) return values.front();
   const char* env = std::getenv("WATTER_BENCH_TRACE");
   return env != nullptr ? env : "";
 }
@@ -178,9 +237,9 @@ inline std::string BenchTracePath(int argc, char** argv) {
 /// point a sweep of one cell at it, or use watter_cli for a single run.
 /// Run-neutral like the trace.
 inline std::string BenchTimelinePath(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--timeline") == 0) return argv[i + 1];
-  }
+  const std::vector<const char*> values =
+      FlagValues(argc, argv, "--timeline", "FILE");
+  if (!values.empty()) return values.front();
   const char* env = std::getenv("WATTER_BENCH_TIMELINE");
   return env != nullptr ? env : "";
 }
@@ -357,10 +416,9 @@ inline std::vector<DatasetKind> BenchDatasets(bool quick) {
 /// engine A/B fits the 1-core recording box without dropping sweep points.
 inline std::vector<DatasetKind> BenchDatasets(int argc, char** argv,
                                               bool quick) {
-  const char* value = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--datasets") == 0) value = argv[i + 1];
-  }
+  const std::vector<const char*> values =
+      FlagValues(argc, argv, "--datasets", "nyc|cdc|xia|all");
+  const char* value = values.empty() ? nullptr : values.back();
   if (value == nullptr) value = std::getenv("WATTER_BENCH_DATASETS");
   if (value == nullptr || std::strcmp(value, "all") == 0) {
     return BenchDatasets(quick);

@@ -172,9 +172,10 @@ class GasSimulation {
                             static_cast<int>(group.members.size()));
     }
     metrics_.AddWorkerTravel(pickup_delay + group.plan.total_cost);
-    fleet_.Dispatch(worker_id,
-                    now + pickup_delay + group.plan.total_cost,
-                    group.plan.route.stops.back().node);
+    // The worker came from this step's idle probe, so it is still idle.
+    WATTER_CHECK_OK(fleet_.Dispatch(worker_id,
+                                    now + pickup_delay + group.plan.total_cost,
+                                    group.plan.route.stops.back().node));
     for (const Order* member : group.members) RemoveWaiting(member->id);
   }
 

@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "src/common/status.h"
 #include "src/common/stopwatch.h"
 #include "src/sim/fleet.h"
 
@@ -35,9 +36,10 @@ MetricsReport RunNonSharing(Scenario* scenario,
         metrics.RecordServed(order, response, /*detour=*/0.0,
                              /*group_size=*/1);
         metrics.AddWorkerTravel(pickup_delay + order.shortest_cost);
-        fleet.Dispatch(match.worker,
-                       now + pickup_delay + order.shortest_cost,
-                       order.dropoff);
+        // The worker came from the idle probe just above.
+        WATTER_CHECK_OK(fleet.Dispatch(match.worker,
+                                       now + pickup_delay + order.shortest_cost,
+                                       order.dropoff));
         queue.pop_front();
       }
     };

@@ -20,7 +20,7 @@ namespace watter {
 ///   if (!r.ok()) return r.status();
 ///   Use(*r);
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Implicit construction from a value (success).
   Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)

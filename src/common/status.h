@@ -35,8 +35,10 @@ const char* StatusCodeName(StatusCode code);
 /// Value type describing the outcome of a fallible operation.
 ///
 /// A default-constructed Status is OK. Error statuses carry a code and a
-/// message. Status is cheap to copy (two words + shared string).
-class Status {
+/// message. Status is cheap to copy (two words + shared string). It is
+/// [[nodiscard]], like Result: a caller that drops one gets a warning
+/// (an error under -Werror) and must handle it or WATTER_CHECK_OK it.
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}

@@ -117,7 +117,6 @@ std::vector<InsertOutcome> ShareabilityGraph::Insert(
     if (!outcomes[i].ok()) continue;
     Entry entry;
     entry.order = arrivals[i].order;
-    entry.inserted_at = arrivals[i].now;
     for (size_t k = first[i]; k < first[i + 1]; ++k) {
       if (!tested[k].has_value()) continue;
       PairPlanSeed& seed = *tested[k];
@@ -201,11 +200,6 @@ std::vector<OrderId> ShareabilityGraph::ExpireEdges(Time now) {
 const Order* ShareabilityGraph::GetOrder(OrderId id) const {
   auto it = entries_.find(id);
   return it == entries_.end() ? nullptr : &it->second.order;
-}
-
-Time ShareabilityGraph::InsertedAt(OrderId id) const {
-  auto it = entries_.find(id);
-  return it == entries_.end() ? -1.0 : it->second.inserted_at;
 }
 
 const std::vector<ShareEdge>& ShareabilityGraph::Neighbors(OrderId id) const {

@@ -116,7 +116,6 @@ class ShareabilityGraph {
 
   bool Contains(OrderId id) const { return entries_.count(id) > 0; }
   const Order* GetOrder(OrderId id) const;
-  Time InsertedAt(OrderId id) const;
 
   /// Adjacency of `id` (empty if unknown).
   const std::vector<ShareEdge>& Neighbors(OrderId id) const;
@@ -134,7 +133,6 @@ class ShareabilityGraph {
  private:
   struct Entry {
     Order order;
-    Time inserted_at = 0.0;
     std::vector<ShareEdge> edges;
   };
 

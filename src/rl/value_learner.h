@@ -50,8 +50,6 @@ class ValueLearner {
   double Value(const CompactState& state) const;
 
   const Mlp& network() const { return main_; }
-  Mlp& mutable_network() { return main_; }
-  int64_t steps() const { return steps_; }
 
  private:
   const Featurizer* featurizer_;

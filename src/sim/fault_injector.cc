@@ -121,22 +121,6 @@ std::string FaultSpecToString(const FaultSpec& spec) {
   return out;
 }
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDropout:
-      return "dropout";
-    case FaultKind::kReturn:
-      return "return";
-    case FaultKind::kBrownoutStart:
-      return "brownout_start";
-    case FaultKind::kBrownoutEnd:
-      return "brownout_end";
-    case FaultKind::kLateDropout:
-      return "late_dropout";
-  }
-  return "unknown";
-}
-
 FaultInjector::FaultInjector(const FaultSpec& spec, int num_workers,
                              double horizon, double start)
     : spec_(spec) {

@@ -38,7 +38,7 @@ struct FaultSpec {
 
   /// Dropouts applied *between* conflict resolution and commit — the
   /// narrow window where a resolved winner can lose its worker. These
-  /// exercise the recoverable claim-failure paths.
+  /// exercise the recoverable aborted-commit path.
   int late_dropouts = 0;
 
   /// Mean offline duration in seconds; actual durations draw uniformly
@@ -87,8 +87,6 @@ enum class FaultKind {
   kLateDropout,    // Worker goes offline between resolve and commit.
 };
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultEvent {
   Time time = 0.0;
   FaultKind kind = FaultKind::kDropout;
@@ -119,7 +117,6 @@ class FaultInjector {
   std::vector<FaultEvent> TakeLateDue(Time now);
 
   const FaultSpec& spec() const { return spec_; }
-  size_t total_events() const { return events_.size() + late_events_.size(); }
   const std::vector<FaultEvent>& events() const { return events_; }
   const std::vector<FaultEvent>& late_events() const { return late_events_; }
 
@@ -143,7 +140,6 @@ class DegradedOracle : public TravelTimeOracle {
   explicit DegradedOracle(TravelTimeOracle* inner) : inner_(inner) {}
 
   void SetFactor(double factor) { factor_ = factor; }
-  double factor() const { return factor_; }
 
   double Cost(NodeId from, NodeId to) override;
   void ManyToOne(std::span<const NodeId> sources, NodeId target,

@@ -71,49 +71,21 @@ std::vector<WorkerId> Fleet::IdleWorkerIds() const {
   return ids;
 }
 
-bool Fleet::TryClaim(WorkerId id) {
-  // A worker is claimable exactly while it sits in the idle index: driving
-  // workers left it in CommitClaim, claimed ones in a previous TryClaim,
-  // offline ones in TakeOffline.
-  if (!idle_index_.Contains(id)) return false;
-  WATTER_CHECK_OK(idle_index_.Remove(id));
-  workers_[id - 1].busy = true;
-  claimed_.insert(id);
-  return true;
-}
-
-Status Fleet::CommitClaim(WorkerId id, Time until, NodeId final_node) {
-  // The claim can legitimately be gone: a fault may have taken the claimed
-  // worker offline between resolution and commit. The caller treats this
-  // like losing the worker-contention conflict.
-  if (claimed_.erase(id) != 1) {
-    return Status::FailedPrecondition("commit of unclaimed worker " +
+Status Fleet::Dispatch(WorkerId id, Time until, NodeId final_node) {
+  // A worker is dispatchable exactly while it sits in the idle index:
+  // driving workers left it in an earlier Dispatch, offline ones in
+  // TakeOffline.
+  if (!idle_index_.Contains(id)) {
+    return Status::FailedPrecondition("dispatch of non-idle worker " +
                                       std::to_string(id));
   }
+  WATTER_CHECK_OK(idle_index_.Remove(id));
   Worker& worker = workers_[id - 1];
+  worker.busy = true;
   worker.available_at = until;
   worker.location = final_node;
   busy_.push({until, id, trip_epoch_[id - 1]});
   return Status::Ok();
-}
-
-Status Fleet::ReleaseClaim(WorkerId id) {
-  if (claimed_.erase(id) != 1) {
-    return Status::FailedPrecondition("release of unclaimed worker " +
-                                      std::to_string(id));
-  }
-  Worker& worker = workers_[id - 1];
-  worker.busy = false;
-  idle_index_.Insert(id, graph_->node_point(worker.location));
-  return Status::Ok();
-}
-
-Status Fleet::Dispatch(WorkerId id, Time until, NodeId final_node) {
-  if (!TryClaim(id)) {
-    return Status::FailedPrecondition("dispatch of non-idle worker " +
-                                      std::to_string(id));
-  }
-  return CommitClaim(id, until, final_node);
 }
 
 WorkerTake Fleet::TakeOffline(WorkerId id) {
@@ -125,12 +97,6 @@ WorkerTake Fleet::TakeOffline(WorkerId id) {
     WATTER_CHECK_OK(idle_index_.Remove(id));
     worker.busy = false;
     return WorkerTake::kIdle;
-  }
-  if (claimed_.erase(id) == 1) {
-    // The claim dies with the worker; the commit pass notices when its
-    // CommitClaim/ReleaseClaim comes back FailedPrecondition.
-    worker.busy = false;
-    return WorkerTake::kClaimed;
   }
   // Mid-route: cancel the trip by bumping the epoch; the busy-heap entry
   // recorded the old epoch and will be skipped when it surfaces.

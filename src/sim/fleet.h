@@ -7,18 +7,17 @@
 // refined by exact travel costs.
 //
 // Fault injection (docs/ROBUSTNESS.md) adds an offline dimension: a worker
-// can be taken offline from any state — idle, claimed, or mid-route — and
-// later brought back online at its recorded location. Mid-route takedowns
-// invalidate the worker's busy-heap entry via a per-worker trip epoch
-// instead of heap surgery: the entry stays in the heap but is skipped when
-// popped, because its recorded epoch no longer matches.
+// can be taken offline whether idle or mid-route, and later brought back
+// online at its recorded location. Mid-route takedowns invalidate the
+// worker's busy-heap entry via a per-worker trip epoch instead of heap
+// surgery: the entry stays in the heap but is skipped when popped, because
+// its recorded epoch no longer matches.
 #ifndef WATTER_SIM_FLEET_H_
 #define WATTER_SIM_FLEET_H_
 
 #include <cstdint>
 #include <queue>
 #include <tuple>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/status.h"
@@ -32,7 +31,6 @@ namespace watter {
 /// The state a worker was in when TakeOffline removed it.
 enum class WorkerTake {
   kIdle,     // Was idle; removed from the spatial index.
-  kClaimed,  // Was claimed but uncommitted; the claim was discarded.
   kBusy,     // Was mid-route; the caller owns trip recovery.
   kOffline,  // Was already offline; the call was a no-op.
 };
@@ -65,39 +63,18 @@ class Fleet {
                             TravelTimeOracle* oracle,
                             int candidates = 8) const;
 
-  /// Two-phase dispatch, used by the platform's commit routine
-  /// (docs/DISPATCH.md):
-  ///
-  ///   TryClaim(w)          reserve an idle worker; later probes skip it
-  ///   CommitClaim(w, ...)  finalize: busy until `until` at `final_node`
-  ///   ReleaseClaim(w)      roll back an unfinalized claim; idle again
-  ///
-  /// TryClaim returns false when the worker is not currently idle (claimed,
-  /// driving, or offline) — the caller's offer then loses the
-  /// worker-contention conflict. Claims are serial-phase only; they are not
-  /// thread-safe.
-  ///
-  /// CommitClaim and ReleaseClaim return FailedPrecondition instead of
-  /// aborting when the worker holds no claim — reachable when a fault takes
-  /// a claimed worker offline between resolution and commit, so the platform
-  /// loop handles it as a recoverable conflict (docs/ROBUSTNESS.md).
-  bool TryClaim(WorkerId id);
-  Status CommitClaim(WorkerId id, Time until, NodeId final_node);
-  Status ReleaseClaim(WorkerId id);
-
-  /// Unfinalized claims currently outstanding.
-  int claimed_count() const { return static_cast<int>(claimed_.size()); }
-
-  /// One-shot claim + commit for the serial dispatch path. Fails with
-  /// FailedPrecondition when the worker is not currently idle.
+  /// The one way to send a worker: `id` drives until `until` and then
+  /// reappears idle at `final_node`. FailedPrecondition, changing nothing,
+  /// when the worker is not idle (driving, or offline — a late-dropout
+  /// fault can take a resolved winner's worker offline before its commit;
+  /// docs/ROBUSTNESS.md). Serial-phase only; not thread-safe.
   Status Dispatch(WorkerId id, Time until, NodeId final_node);
 
   /// Takes a worker offline from whatever state it is in and reports that
-  /// state. Idle workers leave the spatial index; claimed workers lose
-  /// their claim (the commit pass sees the claim vanish and must treat the
-  /// offer as lost); busy workers get their trip epoch bumped so the
-  /// busy-heap entry is ignored — the caller is responsible for recovering
-  /// the interrupted trip's riders. Serial-phase only.
+  /// state. Idle workers leave the spatial index; busy workers get their
+  /// trip epoch bumped so the busy-heap entry is ignored — the caller is
+  /// responsible for recovering the interrupted trip's riders. Serial-phase
+  /// only.
   WorkerTake TakeOffline(WorkerId id);
 
   /// Brings an offline worker back online, idle at its recorded location.
@@ -133,8 +110,6 @@ class Fleet {
   std::priority_queue<BusyEntry, std::vector<BusyEntry>,
                       std::greater<BusyEntry>>
       busy_;
-  // Workers claimed but not yet committed/released (commit-pass state).
-  std::unordered_set<WorkerId> claimed_;
   std::vector<uint32_t> trip_epoch_;  // Indexed by id - 1.
   int offline_count_ = 0;
 };

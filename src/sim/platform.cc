@@ -207,16 +207,61 @@ bool WatterPlatform::ExpireIfDue(const Order& order, Time now) {
   return false;
 }
 
-bool WatterPlatform::BindWorker(DispatchOffer* offer, int riders) const {
+bool WatterPlatform::BindWorker(DispatchOffer* offer) const {
   // Bind the closest capacity-feasible idle worker at the pickup cost its
   // probe measured; no reachable worker, no bid.
   const IdleMatch match =
-      fleet_.FindClosestIdle(offer->plan.route.stops.front().node, riders,
-                             oracle_, options_.worker_candidates);
+      fleet_.FindClosestIdle(offer->plan.route.stops.front().node,
+                             offer->riders, oracle_,
+                             options_.worker_candidates);
   if (match.worker == kInvalidWorker) return false;
   offer->worker = match.worker;
   offer->pickup_delay = match.cost;
   offer->cost = match.cost + offer->plan.total_cost;
+  return true;
+}
+
+template <typename ThresholdOf>
+bool WatterPlatform::GroupOffer(OrderId anchor, const BestGroup& group,
+                                Time now, ThresholdOf threshold_of,
+                                DispatchOffer* offer) const {
+  std::vector<const Order*> members;
+  members.reserve(group.members.size());
+  int riders = 0;
+  for (OrderId member : group.members) {
+    const Order* m = pool_.GetOrder(member);
+    if (m == nullptr) return false;
+    members.push_back(m);
+    riders += m->riders;
+  }
+  // Thresholds only once every member resolved, one per member in member
+  // order: a stateful provider sees the same calls in both engines.
+  std::vector<double> thresholds;
+  thresholds.reserve(members.size());
+  for (const Order* m : members) thresholds.push_back(threshold_of(*m));
+  // Algorithm 2, or feasibility-forced dispatch: holding past the next
+  // check would let the group expire.
+  const bool go = DecideGroupDispatch(group, members, thresholds, now,
+                                      pool_.options().weights) ||
+                  group.plan.latest_departure < now + options_.check_period;
+  if (!go) return false;
+  offer->anchor = anchor;
+  offer->members = group.members;
+  offer->riders = riders;
+  offer->plan = group.plan;  // Copy: survives this round's pool removals.
+  return true;
+}
+
+bool WatterPlatform::SoloOffer(const Order& order, Time now,
+                               DispatchOffer* offer) {
+  if (!options_.solo_fallback || !SoloEligible(order, now)) return false;
+  auto solo = pool_.planner().PlanBest({&order}, now,
+                                       pool_.options().capacity);
+  if (!solo.ok()) return false;
+  offer->anchor = order.id;
+  offer->members = {order.id};
+  offer->riders = order.riders;
+  offer->plan = std::move(solo).value();
   return true;
 }
 
@@ -314,12 +359,16 @@ void WatterPlatform::RunDecisionLoopSerial(
   if (shedding) eligible.insert(propose_ids.begin(), propose_ids.end());
   // A serial dispatch is the batched engine's worker binding plus its
   // commit routine. The loop mutates the fleet only through its own commits
-  // (late faults land after it), so a just-bound worker is always
-  // claimable and the commit cannot fail.
-  const auto dispatch = [this, now](DispatchOffer offer, int riders) {
-    if (!BindWorker(&offer, riders)) return false;
-    WATTER_CHECK_OK(CommitOffer(offer, now));
+  // (late faults land after it), so a just-bound worker is always idle and
+  // the commit cannot fail.
+  const auto dispatch = [this, now](DispatchOffer* offer) {
+    if (!BindWorker(offer)) return false;
+    WATTER_CHECK_OK(CommitOffer(*offer, now));
     return true;
+  };
+  // The serial engine asks the provider itself, in loop order.
+  const auto threshold_of = [this, now, &context](const Order& member) {
+    return provider_->ThresholdFor(member, now, context);
   };
   for (OrderId id : ids) {
     if (!pool_.Contains(id)) continue;  // Dispatched earlier this round.
@@ -329,52 +378,17 @@ void WatterPlatform::RunDecisionLoopSerial(
 
     const BestGroup* group = shed ? nullptr : pool_.BestFor(id, now);
     if (group != nullptr) {
-      std::vector<const Order*> members;
-      members.reserve(group->members.size());
-      int riders = 0;
-      bool resolved = true;
-      for (OrderId member : group->members) {
-        const Order* m = pool_.GetOrder(member);
-        if (m == nullptr) {
-          resolved = false;
-          break;
-        }
-        members.push_back(m);
-        riders += m->riders;
-      }
-      if (resolved) {
-        bool go = DecideGroupDispatch(*group, members, now,
-                                      pool_.options().weights, provider_,
-                                      context);
-        // Feasibility-forced dispatch: holding past the next check would
-        // let the group expire.
-        if (!go && group->plan.latest_departure < now + options_.check_period) {
-          go = true;
-        }
-        if (go) {
-          DispatchOffer offer;
-          offer.anchor = id;
-          offer.members = group->members;
-          offer.plan = group->plan;
-          dispatched = dispatch(std::move(offer), riders);
-        }
-      }
+      DispatchOffer offer;
+      dispatched =
+          GroupOffer(id, *group, now, threshold_of, &offer) && dispatch(&offer);
     }
     if (dispatched || ExpireIfDue(order_copy, now)) continue;
 
-    if (!shed && options_.solo_fallback && group == nullptr &&
-        SoloEligible(order_copy, now)) {
+    if (!shed && group == nullptr) {
       // Watching window elapsed — or feasibility about to expire — without
       // a shared group: serve alone.
-      auto solo = pool_.planner().PlanBest({pool_.GetOrder(id)}, now,
-                                           pool_.options().capacity);
-      if (solo.ok()) {
-        DispatchOffer offer;
-        offer.anchor = id;
-        offer.members = {id};
-        offer.plan = std::move(solo).value();
-        dispatched = dispatch(std::move(offer), order_copy.riders);
-      }
+      DispatchOffer offer;
+      dispatched = SoloOffer(order_copy, now, &offer) && dispatch(&offer);
     }
     if (!dispatched) {
       Observe(order_copy, now, /*action=*/0, /*expired=*/false, 0.0);
@@ -389,63 +403,36 @@ DispatchOffer WatterPlatform::ProposeOffer(
   // the idle fleet, and the oracle; mutates nothing. Runs concurrently for
   // distinct ids in the propose phase.
   DispatchOffer offer;
-  offer.anchor = id;
   const Order* order = pool_.GetOrder(id);
   if (order == nullptr) return offer;
-
   const BestGroup* group = pool_.PeekBest(id, now);
-  int riders = 0;
-  if (group != nullptr) {
-    std::vector<const Order*> members;
-    std::vector<double> member_thresholds;
-    members.reserve(group->members.size());
-    member_thresholds.reserve(group->members.size());
-    for (OrderId member : group->members) {
-      const Order* m = pool_.GetOrder(member);
-      auto it = thresholds.find(member);
-      if (m == nullptr || it == thresholds.end()) return offer;
-      members.push_back(m);
-      member_thresholds.push_back(it->second);
-      riders += m->riders;
-    }
-    bool go = DecideGroupDispatchPrecomputed(*group, members,
-                                             member_thresholds, now,
-                                             pool_.options().weights);
-    // Feasibility-forced dispatch: holding past the next check would let
-    // the group expire (same rule as the serial engine).
-    if (!go && group->plan.latest_departure < now + options_.check_period) {
-      go = true;
-    }
-    if (!go) return offer;
-    offer.members = group->members;
-    offer.plan = group->plan;  // Copy: survives this round's pool removals.
-  } else {
-    // Solo fallback as an offer, with the serial engine's eligibility (a
-    // due rejection is left to the sweep).
-    if (!options_.solo_fallback || !SoloEligible(*order, now)) return offer;
-    auto solo = pool_.planner().PlanBest({order}, now,
-                                         pool_.options().capacity);
-    if (!solo.ok()) return offer;
-    offer.members = {id};
-    offer.plan = std::move(solo).value();
-    riders = order->riders;
-  }
-  BindWorker(&offer, riders);
+  // The prologue covered every member of every group PeekBest returns on
+  // this frozen state, so a missing theta is a broken invariant. Without a
+  // group the solo offer follows the serial engine's eligibility (a due
+  // rejection is left to the sweep).
+  const bool bid =
+      group != nullptr
+          ? GroupOffer(id, *group, now,
+                       [&thresholds](const Order& member) {
+                         return thresholds.at(member.id);
+                       },
+                       &offer)
+          : SoloOffer(*order, now, &offer);
+  if (bid) BindWorker(&offer);
   return offer;
 }
 
 Status WatterPlatform::CommitOffer(const DispatchOffer& offer, Time now) {
-  // The caller guarantees the worker unclaimed and every member still
-  // pooled (conflict resolution in the batched engine, the bind-then-commit
-  // step in the serial loop), and the fleet only changes through commits —
+  // The caller guarantees the worker idle and every member still pooled
+  // (conflict resolution in the batched engine, the bind-then-commit step
+  // in the serial loop), and the fleet only changes through commits —
   // except when a late-dropout fault takes the worker offline between
-  // resolution and commit. That is a recoverable conflict: the offer is
-  // abandoned and its members stay pooled for the sweep.
-  if (!fleet_.TryClaim(offer.worker)) {
-    return Status::FailedPrecondition(
-        "commit: offered worker no longer claimable (worker " +
-        std::to_string(offer.worker) + ")");
-  }
+  // resolution and commit. Then Dispatch fails and changes nothing: the
+  // offer is abandoned and its members stay pooled for the sweep.
+  Status dispatched = fleet_.Dispatch(
+      offer.worker, now + offer.pickup_delay + offer.plan.total_cost,
+      offer.plan.route.stops.back().node);
+  if (!dispatched.ok()) return dispatched;
   // Record outcomes per member (response = notification wait, Definition 4;
   // detour per Definition 5).
   ActiveTrip trip;
@@ -470,9 +457,6 @@ Status WatterPlatform::CommitOffer(const DispatchOffer& offer, Time now) {
     }
   }
   metrics_.AddWorkerTravel(offer.pickup_delay + offer.plan.total_cost);
-  WATTER_CHECK_OK(fleet_.CommitClaim(
-      offer.worker, now + offer.pickup_delay + offer.plan.total_cost,
-      offer.plan.route.stops.back().node));
   if (track_trips_) {
     trip.dispatch_time = now;
     trip.travel = offer.pickup_delay + offer.plan.total_cost;
@@ -556,7 +540,7 @@ void WatterPlatform::RunDecisionLoopBatched(
 
   // Late dropouts land on the resolve/commit seam: resolution has already
   // picked winners against the pre-fault fleet, so a winner whose worker
-  // just vanished fails its claim below and is abandoned.
+  // just vanished fails its dispatch below and is abandoned.
   ApplyLateFaults(now);
 
   // Commit the winners serially in the sorted order.
@@ -652,10 +636,9 @@ void WatterPlatform::HandleDropout(WorkerId id, Time now, bool late) {
     ++fault_stats_.midroute_dropouts;
     RecoverTrip(id, now);
   }
-  // kIdle and kClaimed need no recovery: an evicted idle worker had no
-  // riders, and the platform holds no claim at a fault point (CommitOffer
-  // claims and commits in one step). A late dropout of a resolved winner's
-  // worker surfaces as that offer's failed claim (an aborted commit).
+  // kIdle needs no recovery: an evicted idle worker had no riders. A late
+  // dropout of a resolved winner's worker surfaces as that offer's failed
+  // Dispatch (an aborted commit).
 }
 
 void WatterPlatform::RecoverTrip(WorkerId id, Time now) {

@@ -202,16 +202,30 @@ class WatterPlatform {
   DispatchOffer ProposeOffer(
       OrderId id, Time now,
       const std::unordered_map<OrderId, double>& thresholds);
-  /// Binds the closest capacity-feasible idle worker to `offer`'s plan and
-  /// fills its worker, pickup delay and ranking cost. False (offer left
-  /// unbound) when no worker qualifies or the pickup is unreachable. Pure
-  /// read of the fleet and oracle: the parallel propose phase calls it.
-  bool BindWorker(DispatchOffer* offer, int riders) const;
-  /// The one commit routine of both engines: claims the offer's worker,
-  /// records metrics, and removes the members from the pool.
-  /// FailedPrecondition when the worker is no longer claimable (a
-  /// late-dropout fault took it offline between resolution and commit);
-  /// the offer is then abandoned and its members stay pooled for the sweep.
+  /// The group offer both engines build for `anchor`'s best group: resolves
+  /// every member, asks `threshold_of(member)` for each theta in member
+  /// order, and applies Algorithm 2 or the feasibility-forced rule. True,
+  /// with `offer`'s anchor, members, riders and plan set, when the group
+  /// goes now.
+  template <typename ThresholdOf>
+  bool GroupOffer(OrderId anchor, const BestGroup& group, Time now,
+                  ThresholdOf threshold_of, DispatchOffer* offer) const;
+  /// The solo offer both engines build for a groupless order: true, with
+  /// `offer` set, when the solo fallback is on, the order is SoloEligible
+  /// and the planner finds it a route.
+  bool SoloOffer(const Order& order, Time now, DispatchOffer* offer);
+  /// Binds the closest idle worker with `offer->riders` free seats to
+  /// `offer`'s plan and fills its worker, pickup delay and ranking cost.
+  /// False (offer left unbound) when no worker qualifies or the pickup is
+  /// unreachable. Pure read of the fleet and oracle: the parallel propose
+  /// phase calls it.
+  bool BindWorker(DispatchOffer* offer) const;
+  /// The one commit routine of both engines: dispatches the offer's worker
+  /// first (Fleet::Dispatch), then records metrics and removes the members
+  /// from the pool. FailedPrecondition, with nothing changed, when the
+  /// worker is no longer idle (a late-dropout fault took it offline between
+  /// resolution and commit); the offer is then abandoned and its members
+  /// stay pooled for the sweep.
   Status CommitOffer(const DispatchOffer& offer, Time now);
   /// The expiry step both engines run for an order that did not dispatch
   /// this round: hazard cancellation (one RNG draw once its watching
@@ -239,8 +253,8 @@ class WatterPlatform {
   /// Estimated propose-phase work units for one pooled order (candidate
   /// probes + planner plans), from frozen post-refresh state.
   int64_t EstimateWorkUnits(OrderId id, Time now) const;
-  /// Solo-fallback eligibility shared by ProposeOffer, the serial loop and
-  /// the work-unit estimator.
+  /// Solo-fallback eligibility shared by SoloOffer and the work-unit
+  /// estimator.
   bool SoloEligible(const Order& order, Time now) const;
   /// The budget pre-pass: charges estimated work units in latest-dispatch-
   /// then-id order and returns the eligible prefix (ascending id). Sheds

@@ -6,11 +6,10 @@
 
 namespace watter {
 
-bool DecideGroupDispatchPrecomputed(const BestGroup& group,
-                                    const std::vector<const Order*>& members,
-                                    const std::vector<double>& thresholds,
-                                    Time now,
-                                    const ExtraTimeWeights& weights) {
+bool DecideGroupDispatch(const BestGroup& group,
+                         const std::vector<const Order*>& members,
+                         const std::vector<double>& thresholds, Time now,
+                         const ExtraTimeWeights& weights) {
   DecisionInputs inputs;
   inputs.now = now;
   inputs.average_extra_time = group.AverageExtraTime(now, weights);
@@ -24,20 +23,6 @@ bool DecideGroupDispatchPrecomputed(const BestGroup& group,
   inputs.average_threshold =
       threshold_sum / static_cast<double>(members.size());
   return MakeDispatchDecision(inputs);
-}
-
-bool DecideGroupDispatch(const BestGroup& group,
-                         const std::vector<const Order*>& members, Time now,
-                         const ExtraTimeWeights& weights,
-                         ThresholdProvider* provider,
-                         const PoolContext& context) {
-  std::vector<double> thresholds;
-  thresholds.reserve(members.size());
-  for (const Order* order : members) {
-    thresholds.push_back(provider->ThresholdFor(*order, now, context));
-  }
-  return DecideGroupDispatchPrecomputed(group, members, thresholds, now,
-                                        weights);
 }
 
 bool OfferBefore(const DispatchOffer& a, const DispatchOffer& b) {

@@ -11,7 +11,6 @@
 #include "src/core/route_planner.h"
 #include "src/core/types.h"
 #include "src/pool/best_group_map.h"
-#include "src/strategy/threshold_provider.h"
 
 namespace watter {
 
@@ -31,25 +30,14 @@ inline bool MakeDispatchDecision(const DecisionInputs& inputs) {
   return inputs.average_extra_time <= inputs.average_threshold;  // Line 6.
 }
 
-/// Algorithm 2 for a concrete best group, querying each member's threshold
-/// from `provider` in member order, then deciding through
-/// DecideGroupDispatchPrecomputed (the serial engine's entry point).
+/// Algorithm 2 for a concrete best group: `thresholds[i]` is theta for
+/// `members[i]`. Both engines query their (stateful, non-thread-safe)
+/// provider serially and pass the answers here; the batched engine then
+/// decides in its parallel propose phase.
 bool DecideGroupDispatch(const BestGroup& group,
-                         const std::vector<const Order*>& members, Time now,
-                         const ExtraTimeWeights& weights,
-                         ThresholdProvider* provider,
-                         const PoolContext& context);
-
-/// Algorithm 2 with member thresholds precomputed by the caller. The
-/// batched engine queries the (stateful, non-thread-safe) provider once per
-/// member in the serial prologue, then evaluates decisions in the parallel
-/// propose phase through this pure variant. `thresholds[i]` is theta for
-/// `members[i]`.
-bool DecideGroupDispatchPrecomputed(const BestGroup& group,
-                                    const std::vector<const Order*>& members,
-                                    const std::vector<double>& thresholds,
-                                    Time now,
-                                    const ExtraTimeWeights& weights);
+                         const std::vector<const Order*>& members,
+                         const std::vector<double>& thresholds, Time now,
+                         const ExtraTimeWeights& weights);
 
 /// One candidate dispatch of a check round: a group (or solo order) bound
 /// to a concrete worker, with the cost that ranks it in the commit pass.
@@ -59,6 +47,7 @@ bool DecideGroupDispatchPrecomputed(const BestGroup& group,
 struct DispatchOffer {
   OrderId anchor = kInvalidOrder;
   std::vector<OrderId> members;     ///< Sorted; includes the anchor.
+  int riders = 0;                   ///< Seats the members need.
   WorkerId worker = kInvalidWorker;
   double pickup_delay = 0.0;        ///< Worker location -> first stop.
   double cost = 0.0;                ///< Ranking key: pickup delay + route.

@@ -90,8 +90,6 @@ class GmmThresholdProvider : public ThresholdProvider {
   }
   const char* name() const override { return "WATTER-gmm"; }
 
-  ThresholdTable& table() { return table_; }
-
  private:
   ThresholdTable table_;
 };

@@ -168,7 +168,6 @@ TEST_F(ShareabilityGraphTest, BatchKeepsTheFirstCopyOfADuplicateId) {
   EXPECT_TRUE(outcomes[2].edges.empty());
   EXPECT_EQ(share_.size(), 2u);
   EXPECT_EQ(share_.GetOrder(orders_[0].id)->pickup, testutil::kA);
-  EXPECT_DOUBLE_EQ(share_.InsertedAt(orders_[0].id), 5.0);
   EXPECT_EQ(share_.pair_tests(), 1);  // The duplicate planned nothing.
   EXPECT_EQ(share_.edge_count(), 1);
 }
@@ -208,7 +207,6 @@ TEST_F(ShareabilityGraphTest, BatchSkipsAnEarlierArrivalThatExpiredMeanwhile) {
 TEST_F(ShareabilityGraphTest, AccessorsOnUnknownIds) {
   EXPECT_EQ(share_.GetOrder(404), nullptr);
   EXPECT_TRUE(share_.Neighbors(404).empty());
-  EXPECT_EQ(share_.InsertedAt(404), -1.0);
   EXPECT_FALSE(share_.HasEdge(404, 405));
 }
 
@@ -218,7 +216,6 @@ TEST_F(ShareabilityGraphTest, OrderIdsListsResidents) {
   auto ids = share_.OrderIds();
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<OrderId>{1, 2}));
-  EXPECT_DOUBLE_EQ(share_.InsertedAt(orders_[0].id), 5.0);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ TEST(FleetTest, ReleaseAndDispatchLifecycle) {
   Fleet fleet(workers, &g, 4);
   EXPECT_EQ(fleet.idle_count(), 2);
   // Dispatch worker 1 until t=100, landing on node 1.
-  fleet.Dispatch(1, 100.0, 1);
+  ASSERT_TRUE(fleet.Dispatch(1, 100.0, 1).ok());
   EXPECT_EQ(fleet.idle_count(), 1);
   EXPECT_TRUE(fleet.worker(1).busy);
   fleet.ReleaseUntil(99.0);

@@ -83,6 +83,18 @@ PoolOptions PermissivePoolOptions() {
   return options;
 }
 
+// theta for each member from `provider`, in member order, as the engines
+// gather them before deciding.
+std::vector<double> Thresholds(ThresholdProvider& provider,
+                               const std::vector<const Order*>& members,
+                               Time now) {
+  std::vector<double> thresholds;
+  for (const Order* member : members) {
+    thresholds.push_back(provider.ThresholdFor(*member, now, PoolContext{}));
+  }
+  return thresholds;
+}
+
 class GroupDecisionTest : public testing::Test {
  protected:
   GroupDecisionTest()
@@ -101,9 +113,11 @@ TEST_F(GroupDecisionTest, OnlineDispatchesBestGroupImmediately) {
   const BestGroup* best = pool_.BestFor(orders[0].id, orders[0].release);
   ASSERT_NE(best, nullptr);
   OnlineThresholdProvider online;
-  PoolContext context;
-  EXPECT_TRUE(DecideGroupDispatch(*best, {&orders[0]}, orders[0].release,
-                                  ExtraTimeWeights{}, &online, context));
+  const std::vector<const Order*> members = {&orders[0]};
+  const Time now = orders[0].release;
+  EXPECT_TRUE(DecideGroupDispatch(*best, members,
+                                  Thresholds(online, members, now), now,
+                                  ExtraTimeWeights{}));
 }
 
 TEST_F(GroupDecisionTest, TimeoutHoldsUntilWaitDeadline) {
@@ -113,13 +127,17 @@ TEST_F(GroupDecisionTest, TimeoutHoldsUntilWaitDeadline) {
   const BestGroup* best = pool_.BestFor(o.id, o.release);
   ASSERT_NE(best, nullptr);
   TimeoutThresholdProvider timeout;
-  PoolContext context;
+  const std::vector<const Order*> members = {&o};
   // Before the window elapses: hold.
-  EXPECT_FALSE(DecideGroupDispatch(*best, {&o}, o.release + 59,
-                                   ExtraTimeWeights{}, &timeout, context));
+  const Time before = o.release + 59;
+  EXPECT_FALSE(DecideGroupDispatch(*best, members,
+                                   Thresholds(timeout, members, before),
+                                   before, ExtraTimeWeights{}));
   // After: forced dispatch.
-  EXPECT_TRUE(DecideGroupDispatch(*best, {&o}, o.WaitDeadline() + 1,
-                                  ExtraTimeWeights{}, &timeout, context));
+  const Time after = o.WaitDeadline() + 1;
+  EXPECT_TRUE(DecideGroupDispatch(*best, members,
+                                  Thresholds(timeout, members, after), after,
+                                  ExtraTimeWeights{}));
 }
 
 TEST_F(GroupDecisionTest, FixedThresholdDispatchesOnceGroupGoodEnough) {
@@ -138,11 +156,13 @@ TEST_F(GroupDecisionTest, FixedThresholdDispatchesOnceGroupGoodEnough) {
   ASSERT_EQ(best->size(), 2);
   FixedThresholdProvider strict(1.0);  // Avg response at t=10 is 5 s > 1.
   FixedThresholdProvider loose(10.0);
-  PoolContext context;
-  EXPECT_FALSE(DecideGroupDispatch(*best, {&a, &b}, 10, ExtraTimeWeights{},
-                                   &strict, context));
-  EXPECT_TRUE(DecideGroupDispatch(*best, {&a, &b}, 10, ExtraTimeWeights{},
-                                  &loose, context));
+  const std::vector<const Order*> members = {&a, &b};
+  EXPECT_FALSE(DecideGroupDispatch(*best, members,
+                                   Thresholds(strict, members, 10), 10,
+                                   ExtraTimeWeights{}));
+  EXPECT_TRUE(DecideGroupDispatch(*best, members,
+                                  Thresholds(loose, members, 10), 10,
+                                  ExtraTimeWeights{}));
 }
 
 }  // namespace
