@@ -105,7 +105,8 @@ inline bool QuickMode(int argc, char** argv) {
 }
 
 /// Threads the simulated platforms run on: `--threads T` or
-/// WATTER_BENCH_THREADS (0 = all hardware threads; default 1 = serial).
+/// WATTER_BENCH_THREADS (0 = all CPUs this process may run on; default
+/// 1 = serial).
 /// Metrics are thread-count-independent, so sweeps stay comparable.
 inline int BenchThreads(int argc, char** argv) {
   const std::vector<const char*> values =

@@ -26,17 +26,29 @@
 //
 // Completion is chunk-claim based: a job is done when its index range is
 // drained and every thread that *entered* the job has left it. Workers that
-// wake too late to claim a chunk never join the job at all — they observe
-// `job_active_ == false` under the mutex and go back to sleep without
+// arrive too late to claim a chunk never join the job at all — they observe
+// `job_active_ == false` under the mutex and go back to waiting without
 // touching the (by then possibly destroyed) body. Small fan-outs therefore
-// pay only the wake-up latency of the threads that actually participate,
-// not a full-pool acknowledgement barrier per job.
+// pay only for the threads that actually participate, not a full-pool
+// acknowledgement barrier per job.
+//
+// Hand-off is spin-then-park. A worker that finishes a job polls the job
+// sequence for kSpinWindow (thread_pool.cc) before it parks on a condition
+// variable, and the driving thread polls the count of workers still inside
+// its job before it waits on one. A round's fan-outs follow each other
+// after 10-20 µs of serial work at the median, so the next job usually
+// finds its workers awake and the join finds them gone, with no futex wake
+// or wait on either side. The pool spins only when each of its threads can
+// have a CPU of its own (the pool size is at most the CPUs of the process's
+// affinity mask); on fewer CPUs a spinning thread would take the CPU a
+// working one needs, so it parks at once.
 #ifndef WATTER_COMMON_THREAD_POOL_H_
 #define WATTER_COMMON_THREAD_POOL_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -50,7 +62,7 @@ class ThreadPool {
  public:
   /// Creates a pool running loops on `num_threads` threads total (the
   /// caller counts as one, so `num_threads - 1` workers are spawned).
-  /// `num_threads <= 0` resolves to the hardware concurrency.
+  /// `num_threads <= 0` resolves to DefaultThreads().
   explicit ThreadPool(int num_threads = 1);
   ~ThreadPool();
 
@@ -79,7 +91,8 @@ class ThreadPool {
     });
   }
 
-  /// The machine's hardware concurrency (>= 1).
+  /// The number of CPUs this process may run on: the CPUs of its affinity
+  /// mask, which `taskset` and container CPU sets shrink (>= 1).
   static int DefaultThreads();
 
   /// The process-wide 1-thread pool: runs every loop inline on the calling
@@ -92,17 +105,26 @@ class ThreadPool {
   void RunChunks();
 
   int num_threads_;
+  // True when the pool may spin between jobs: it has workers, and no more
+  // threads than the process has CPUs. Fixed at construction.
+  bool spin_ = false;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;   // Signals a new job (or shutdown).
-  std::condition_variable done_cv_;   // Signals the last participant leaving.
-  bool stop_ = false;
-  uint64_t job_id_ = 0;               // Bumped per ParallelFor; wakes workers.
-  int participants_ = 0;              // Threads currently inside the job.
-  // True while the driving thread has a job in flight; a ParallelFor called
-  // from inside a body on that thread then runs inline, and late-waking
-  // workers use it to tell a live job from one that already completed. The
+  std::condition_variable done_cv_;   // Signals the last worker leaving.
+  bool stop_ = false;                 // Guarded by mu_.
+  // Bumped under mu_ per ParallelFor and at shutdown; the release
+  // increment publishes the job to workers polling it with acquire loads.
+  std::atomic<uint64_t> job_seq_{0};
+  // Workers inside the current job. A worker joins under mu_ and leaves
+  // with a release decrement, which the driving thread's acquire load
+  // pairs with.
+  std::atomic<int> workers_in_job_{0};
+  // True while the driving thread has a job in flight; written by it under
+  // mu_. A ParallelFor called from inside a body on that thread then runs
+  // inline, and late workers use it to tell a live job from one that
+  // already completed: it turns false only once no worker is inside. The
   // pool supports one driving thread at a time (the simulation main loop).
   bool job_active_ = false;
 

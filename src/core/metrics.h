@@ -53,11 +53,12 @@ struct PoolStats {
 
 /// Travel-time-oracle work counters of one run (filled by WatterPlatform
 /// from the scenario's oracle; zero elsewhere). Unlike PoolStats these are
-/// *diagnostic, not deterministic*: the three counter increments are
-/// deliberately racy (travel_time_oracle.h), so multi-threaded runs may
-/// drop a few counts, and the two geo backends intentionally issue
-/// different query totals. Determinism comparisons exclude them, like
-/// wall-clock fields. bucket_build_seconds is the exception: it is an
+/// *diagnostic, not deterministic*: the three counters add with an
+/// unsynchronized load and store per thread (travel_time_oracle.h), exact
+/// only while at most PerThreadCounter::kSlots threads count at once, and
+/// the two geo backends intentionally issue different query totals.
+/// Determinism comparisons exclude them, like wall-clock fields.
+/// bucket_build_seconds is the exception: it is an
 /// atomic nanosecond total, added once per published search space, so it is
 /// exact — but it is wall-clock, hence still excluded from determinism.
 struct GeoStats {

@@ -44,7 +44,7 @@ inline int StateIndex(int picked, int dropped, int last, int k) {
 
 Result<GroupPlan> RoutePlanner::PlanBest(
     const std::vector<const Order*>& orders, Time depart_time, int capacity) {
-  plan_count_.fetch_add(1, std::memory_order_relaxed);
+  plan_count_.Add(1);
   PlanLatencyScope latency_scope;
   const int k = static_cast<int>(orders.size());
   if (k == 0) return Status::InvalidArgument("cannot plan an empty group");

@@ -13,9 +13,9 @@
 #ifndef WATTER_CORE_ROUTE_PLANNER_H_
 #define WATTER_CORE_ROUTE_PLANNER_H_
 
-#include <atomic>
 #include <vector>
 
+#include "src/common/per_thread_counter.h"
 #include "src/common/result.h"
 #include "src/core/route.h"
 #include "src/core/types.h"
@@ -62,14 +62,13 @@ class RoutePlanner {
   bool PairShareable(const Order& a, const Order& b, Time depart_time,
                      int capacity);
 
-  /// Number of PlanBest calls (diagnostics for the benches).
-  int64_t plan_count() const {
-    return plan_count_.load(std::memory_order_relaxed);
-  }
+  /// Number of PlanBest calls. Exact: each call adds one to the calling
+  /// thread's own slot, so the pool threads' pair tests share no line.
+  int64_t plan_count() const { return plan_count_.value(); }
 
  private:
   TravelTimeOracle* oracle_;
-  std::atomic<int64_t> plan_count_{0};
+  PerThreadCounter plan_count_;
 };
 
 }  // namespace watter

@@ -8,7 +8,6 @@
 #ifndef WATTER_GEO_TRAVEL_TIME_ORACLE_H_
 #define WATTER_GEO_TRAVEL_TIME_ORACLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -17,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/per_thread_counter.h"
 #include "src/geo/apsp.h"
 #include "src/geo/contraction_hierarchy.h"
 #include "src/geo/graph.h"
@@ -73,54 +73,39 @@ class TravelTimeOracle {
   virtual bool NativeBatch() const { return false; }
 
   /// Seconds spent building memoized search spaces (bucket-CH only; 0
-  /// elsewhere). Accumulated atomically once per published space, so —
-  /// unlike the racy diagnostic counters below — it is exact.
+  /// elsewhere). Accumulated atomically once per published space.
   virtual double bucket_build_seconds() const { return 0.0; }
 
   /// Number of point queries answered, batched or not (diagnostics).
-  int64_t query_count() const {
-    return query_count_.load(std::memory_order_relaxed);
-  }
+  int64_t query_count() const { return query_count_.value(); }
 
   /// Number of batch calls answered (diagnostics).
-  int64_t batch_count() const {
-    return batch_count_.load(std::memory_order_relaxed);
-  }
+  int64_t batch_count() const { return batch_count_.value(); }
 
   /// Total batched endpoints across all batch calls: sources for
   /// many-to-one, targets for one-to-many, both for many-to-many. Divided
   /// by batch_count() this is the mean batch width the consumers achieve.
-  int64_t batch_points() const {
-    return batch_points_.load(std::memory_order_relaxed);
-  }
+  int64_t batch_points() const { return batch_points_.value(); }
 
  protected:
-  // Deliberately non-atomic read-modify-writes (racy increments may be
-  // lost): Cost() is the hottest call in the tree and a lock-prefixed
-  // fetch_add here costs several percent end-to-end. The counters are purely
-  // diagnostic; the relaxed atomic accesses keep them TSan-clean and exact
-  // whenever queries are serial. These three (query_count_, batch_count_,
-  // batch_points_) are the only remaining racy-by-design counters —
-  // bucket_build_seconds is an atomic fetch_add per published search space
-  // and is exact.
+  // Cost() is the hottest call in the tree, made from every pool thread at
+  // once, so each count is a plain load and store on the calling thread's
+  // own cache line (PerThreadCounter::AddUnshared): no lock prefix and no
+  // line shared between threads. The counts are diagnostic; they are exact
+  // while at most PerThreadCounter::kSlots threads have counted at once.
   void CountQuery() { CountQueries(1); }
 
-  void CountQueries(int64_t n) {
-    query_count_.store(query_count_.load(std::memory_order_relaxed) + n,
-                       std::memory_order_relaxed);
-  }
+  void CountQueries(int64_t n) { query_count_.AddUnshared(n); }
 
   void CountBatch(int64_t points) {
-    batch_count_.store(batch_count_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-    batch_points_.store(batch_points_.load(std::memory_order_relaxed) + points,
-                        std::memory_order_relaxed);
+    batch_count_.AddUnshared(1);
+    batch_points_.AddUnshared(points);
   }
 
  private:
-  std::atomic<int64_t> query_count_{0};
-  std::atomic<int64_t> batch_count_{0};
-  std::atomic<int64_t> batch_points_{0};
+  PerThreadCounter query_count_;
+  PerThreadCounter batch_count_;
+  PerThreadCounter batch_points_;
 };
 
 /// Oracle backed by a dense all-pairs matrix: O(1) per query.

@@ -858,9 +858,9 @@ MetricsReport WatterPlatform::Run() {
 MetricsReport WatterPlatform::CurrentReport() const {
   MetricsReport report = metrics_.Report();
   report.pool = pool_.Stats();
-  // Oracle-side counters: diagnostic only (racy increments, backend-specific
-  // totals); cumulative since oracle construction, so they include scenario
-  // generation's shortest-cost sampling.
+  // Oracle-side counters: diagnostic only (unsynchronized per-thread adds,
+  // backend-specific totals); cumulative since oracle construction, so they
+  // include scenario generation's shortest-cost sampling.
   const TravelTimeOracle& oracle = *scenario_->oracle;
   report.geo = {oracle.query_count(), oracle.batch_count(),
                 oracle.batch_points(), oracle.bucket_build_seconds()};

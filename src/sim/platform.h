@@ -78,8 +78,9 @@ struct SimOptions {
   uint64_t sim_seed = 0xC0FFEE;
   /// Threads for the check loop and pool maintenance. 0 = inherit the
   /// scenario's WorkloadOptions::num_threads; otherwise as there (1 =
-  /// serial, negative = all hardware threads). Metrics and dispatch
-  /// decisions are bitwise identical for any value (see thread_pool.h).
+  /// serial, negative = all CPUs this process may run on). Metrics and
+  /// dispatch decisions are bitwise identical for any value (see
+  /// thread_pool.h).
   int num_threads = 0;
   /// Dispatch engine for the decision phase of each check round. Batched is
   /// the default since the paper-scale A/B (docs/PERFORMANCE.md): global

@@ -42,7 +42,8 @@ struct WorkloadOptions {
   GeoBackend geo = GeoBackend::kBucket;
   /// Threads the platform's check loop and pool maintenance run on when
   /// simulating this scenario (results are thread-count-independent).
-  /// 1 = serial; 0 = use all hardware threads. SimOptions can override.
+  /// 1 = serial; 0 = use all CPUs this process may run on. SimOptions can
+  /// override.
   int num_threads = 1;
   /// Unused; benchmark/watter_bench.cc still sets it (see ROADMAP.md).
   int num_shards = 1;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/route_planner.h"
 #include "src/geo/city_generator.h"
 #include "src/geo/travel_time_oracle.h"
@@ -33,6 +34,26 @@ class RoutePlannerExample1Test : public testing::Test {
   RoutePlanner planner_;
   std::vector<Order> orders_;
 };
+
+TEST(PlanCountTest, ExactAcrossPoolThreads) {
+  // plan_count() sums per-thread slots. PlanBest calls fanned out over a
+  // 4-thread pool must still add up to exactly one count per call: the
+  // benchmark compares the count across replays of a day.
+  Graph graph = testutil::MakeExample1Graph();
+  DijkstraOracle oracle(&graph);
+  RoutePlanner planner(&oracle);
+  const std::vector<Order> orders = testutil::MakeExample1Orders();
+  constexpr size_t kCalls = 4000;
+  std::vector<int> feasible;
+  ThreadPool pool(4);
+  pool.ParallelMap(kCalls, 8, &feasible, [&](size_t i) {
+    const Order& a = orders[i % orders.size()];
+    const Order& b = orders[(i + 1) % orders.size()];
+    return planner.PlanBest({&a, &b}, 10.0, 4).ok() ? 1 : 0;
+  });
+  EXPECT_EQ(planner.plan_count(), static_cast<int64_t>(kCalls));
+  EXPECT_GT(std::count(feasible.begin(), feasible.end(), 1), 0);
+}
 
 TEST_F(RoutePlannerExample1Test, SingleOrderIsDirectRoute) {
   auto plan = planner_.PlanBest({&orders_[0]}, /*depart_time=*/10.0, 4);

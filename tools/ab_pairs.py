@@ -6,8 +6,11 @@ in two source trees, PARENT and CHANGE, N times each, with T the run length
 that CHANGE's BENCHMARK.json sets (`run_seconds`). Pair i runs the parent
 first when i is even and the change first when i is odd, so neither side
 always inherits the other's cache and clock state. Each run is recorded with
-its end-to-end metrics, its `failed` count and the host's steal share while
-it ran (from /proc/stat: the CPUs of --cpus, else all of them).
+its end-to-end metrics, its `failed` count, the host's steal share while it
+ran (from /proc/stat: the CPUs of --cpus, else all of them) and the CPU
+seconds its process tree used per wall second (`cpu_per_wall`, from the
+rusage of the waited-for children: user plus system time over elapsed time,
+build check and setup included).
 
 The metric names, directions and bounds come from the same file.
 Per metric the report gives each side's median and quartiles, how many pairs
@@ -28,9 +31,11 @@ printed, not enforced.
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -65,29 +70,41 @@ def cpu_times(cpus):
     return steal, total
 
 
+def child_cpu_seconds():
+    """User plus system seconds of all waited-for child processes so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree, args, seconds, cpus):
-    """One run.py process in `tree`: its result object plus steal share."""
+    """One run.py process in `tree`: its result object, steal share and CPU
+    seconds per wall second."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--trace", "0"]
     cmd += ["--smoke"] if args.smoke else ["--seconds", str(seconds)]
     if args.cpus:
         cmd = ["taskset", "-c", args.cpus] + cmd
     before = cpu_times(cpus)
+    cpu_before, wall_before = child_cpu_seconds(), time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
+    cpu_per_wall = ((child_cpu_seconds() - cpu_before)
+                    / max(time.monotonic() - wall_before, 1e-9))
     after = cpu_times(cpus)
     elapsed = after[1] - before[1]
     steal = (after[0] - before[0]) / elapsed if elapsed > 0 else 0.0
     lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
     if proc.returncode not in (0, 1) or not lines:
         log(proc.stderr[-2000:])
-        return {"error": f"run.py exited {proc.returncode}", "steal": steal}
+        return {"error": f"run.py exited {proc.returncode}", "steal": steal,
+                "cpu_per_wall": cpu_per_wall}
     result = json.loads(lines[-1])
     return {
         "correct": result["correct"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "steal": steal,
+        "cpu_per_wall": cpu_per_wall,
     }
 
 
@@ -107,7 +124,11 @@ def report(metrics, runs):
         return
     print(f"{len(pairs)} pairs; steal share median: parent "
           f"{statistics.median(p['steal'] for p, _ in pairs):.1%}, change "
-          f"{statistics.median(c['steal'] for _, c in pairs):.1%}")
+          f"{statistics.median(c['steal'] for _, c in pairs):.1%}; "
+          f"CPU s per wall s median: parent "
+          f"{statistics.median(p['cpu_per_wall'] for p, _ in pairs):.2f}, "
+          f"change "
+          f"{statistics.median(c['cpu_per_wall'] for _, c in pairs):.2f}")
     print(f"{'metric':16s} {'parent median [Q1, Q3]':>31s} "
           f"{'change median [Q1, Q3]':>31s} {'delta':>7s} {'wins':>6s} "
           f"{'>IQR':>5s} {'bound':>6s}")
@@ -165,7 +186,8 @@ def main():
             ok = ok and run["correct"] and run["failed"] == 0
             log(f"pair {i + 1} {side}: us_per_order "
                 f"{run['metrics']['us_per_order']:.1f}, failed "
-                f"{run['failed']}, steal {run['steal']:.1%}"
+                f"{run['failed']}, steal {run['steal']:.1%}, CPU/wall "
+                f"{run['cpu_per_wall']:.2f}"
                 f"{'' if run['correct'] else ', CHECK FAILED'}")
     print(f"workload {args.workload}, seed {args.seed}, "
           f"cpus {args.cpus or 'all'}")

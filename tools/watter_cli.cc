@@ -17,8 +17,8 @@
 //   --city-seed S [derived]       --duration HOURS [2]
 //   Every dataset, nyc and xia included, runs on the all-pairs matrix
 //   travel-time oracle.
-//   --threads T [1; 0 = all hardware threads] — parallelism of the check
-//   loop and pool maintenance; metrics are identical for any T.
+//   --threads T [1; 0 = all CPUs this process may run on] — parallelism of
+//   the check loop and pool maintenance; metrics are identical for any T.
 //   --dispatch serial|batched [batched] — decision engine of the WATTER
 //   strategies (docs/DISPATCH.md): the batched sorted-offers engine (the
 //   default — its cost-ranked commits serve more orders under contention,
@@ -90,7 +90,7 @@ struct CliArgs {
                "--workers M\n"
                "                  --tau X --eta X --capacity K --seed S\n"
                "                  --city-seed S --duration HOURS\n"
-               "                  --threads T (0 = all hardware threads)\n"
+               "                  --threads T (0 = all CPUs this process may run on)\n"
                "                  --dispatch serial|batched (default batched)\n"
                "  robustness:     --faults SPEC (docs/ROBUSTNESS.md grammar)\n"
                "                  --budget N (per-round propose work units)\n"
