@@ -72,28 +72,21 @@ const BestGroup* BestGroupMap::BestFor(OrderId id, Time now) {
   return &it->second;
 }
 
-bool BestGroupMap::CandidateAdmissible(
-    std::span<const OrderId> members) const {
-  // Oversized cliques (CliqueOptions::max_size above kMaxGroupSize) cannot
-  // be planned — and must not reach the fixed-width GroupKey.
-  if (members.size() > static_cast<size_t>(kMaxGroupSize)) return false;
-  int riders = 0;
-  for (OrderId member : members) {
-    const Order* order = graph_->GetOrder(member);
-    if (order == nullptr) return false;
-    riders += order->riders;
-  }
-  return riders <= capacity_;
-}
-
 BestGroupMap::CandidateScan BestGroupMap::ScanCandidates(OrderId id,
                                                          Time now) const {
   CandidateScan scan;
-  if (graph_->GetOrder(id) == nullptr) return scan;
+  const Order* anchor = graph_->GetOrder(id);
+  if (anchor == nullptr) return scan;
 
-  auto classify = [&](std::span<const OrderId> members) {
+  auto classify = [&](std::span<const OrderId> members, int riders) {
     int64_t index = scan.groups_evaluated++;
-    if (!CandidateAdmissible(members)) return;
+    // Only plannable cliques: oversized ones (CliqueOptions::max_size above
+    // kMaxGroupSize) must not reach the fixed-width GroupKey, and more
+    // riders than the fleet capacity never fit.
+    if (members.size() > static_cast<size_t>(kMaxGroupSize) ||
+        riders > capacity_) {
+      return;
+    }
     GroupKey key(members);
     const CachedGroupPlan* entry = plan_cache_.Find(key);
     if (entry == nullptr) {
@@ -115,10 +108,13 @@ BestGroupMap::CandidateScan BestGroupMap::ScanCandidates(OrderId id,
 
   if (include_singletons_) {
     const OrderId self[] = {id};
-    classify(std::span<const OrderId>(self));
+    classify(std::span<const OrderId>(self), anchor->riders);
   }
   thread_local CliqueEnumerator enumerator;
-  int visited = enumerator.Enumerate(*graph_, id, clique_options_, classify);
+  int visited = enumerator.Enumerate(
+      *graph_, id, clique_options_, [&](std::span<const OrderId> members) {
+        classify(members, enumerator.riders());
+      });
   scan.truncated = visited >= clique_options_.max_visits;
   return scan;
 }

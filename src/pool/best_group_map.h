@@ -181,10 +181,6 @@ class BestGroupMap {
     int64_t replans = 0;
   };
 
-  /// False if the clique cannot be planned: more members than a GroupKey
-  /// holds, a departed member, or more riders than the fleet capacity.
-  bool CandidateAdmissible(std::span<const OrderId> members) const;
-
   CandidateScan ScanCandidates(OrderId id, Time now) const;
 
   /// Makes candidate `index` (member set `key`, cache outcome `entry`) the

@@ -13,11 +13,16 @@
 // small sorted buffer, and all scratch is reused across Enumerate calls.
 // The previous recursive implementation heap-allocated a sorted copy plus a
 // filtered candidate vector per visited clique — at 4096 visits per anchor
-// that dominated dense-pool maintenance.
+// that dominated dense-pool maintenance. Candidates carry their graph slot,
+// so extending a clique tests adjacency with one bit test and the running
+// rider count reads riders by slot: the enumerator itself looks up no id
+// after the anchor.
 #ifndef WATTER_POOL_CLIQUE_ENUMERATOR_H_
 #define WATTER_POOL_CLIQUE_ENUMERATOR_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -52,22 +57,28 @@ class CliqueEnumerator {
   /// the same prefix (the `none_` soundness rules depend on this).
   ///
   /// The span passed to `visit` aliases internal scratch: it is valid only
-  /// for the duration of the call and must be copied to outlive it.
+  /// for the duration of the call and must be copied to outlive it. During
+  /// a visit, riders() is the clique's total riders.
   template <typename Visitor>
   int Enumerate(const ShareabilityGraph& graph, OrderId anchor,
                 const CliqueOptions& options, Visitor&& visit) {
-    if (!graph.Contains(anchor) || options.max_size < 2) return 0;
+    const std::optional<uint32_t> anchor_slot = graph.SlotOf(anchor);
+    if (!anchor_slot.has_value() || options.max_size < 2) return 0;
     candidates_.clear();
     members_.clear();
     frames_.clear();
 
     for (const ShareEdge& edge : graph.Neighbors(anchor)) {
-      candidates_.push_back(edge.other);
+      candidates_.push_back(Candidate{edge.other, edge.other_slot});
     }
     // Deterministic order regardless of hash-map iteration.
-    std::sort(candidates_.begin(), candidates_.end());
+    std::sort(candidates_.begin(), candidates_.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.id < b.id;
+              });
 
     members_.push_back(anchor);
+    riders_ = graph.RidersAt(*anchor_slot);
     frames_.push_back(Frame{0, candidates_.size(), 0, false});
     int visited = 0;
 
@@ -75,7 +86,9 @@ class CliqueEnumerator {
       Frame& frame = frames_.back();
       if (frame.member_pushed) {
         // Done with candidates_[next - 1]: drop it and advance.
-        PopMember(candidates_[frame.next - 1]);
+        const Candidate& done = candidates_[frame.next - 1];
+        PopMember(done.id);
+        riders_ -= graph.RidersAt(done.slot);
         frame.member_pushed = false;
         continue;
       }
@@ -84,8 +97,9 @@ class CliqueEnumerator {
         frames_.pop_back();
         continue;
       }
-      OrderId next = candidates_[frame.next++];
-      PushMember(next);
+      const Candidate next = candidates_[frame.next++];
+      PushMember(next.id);
+      riders_ += graph.RidersAt(next.slot);
       frame.member_pushed = true;
       ++visited;
       visit(std::span<const OrderId>(members_));
@@ -97,8 +111,9 @@ class CliqueEnumerator {
         // frame's range is truncated away when it pops.
         size_t child_begin = candidates_.size();
         for (size_t j = frame.next; j < frame.end; ++j) {
-          if (graph.HasEdge(next, candidates_[j])) {
-            candidates_.push_back(candidates_[j]);
+          const Candidate candidate = candidates_[j];
+          if (graph.Adjacent(next.slot, candidate.slot)) {
+            candidates_.push_back(candidate);
           }
         }
         if (candidates_.size() > child_begin) {
@@ -111,7 +126,16 @@ class CliqueEnumerator {
     return visited;
   }
 
+  /// Total riders of the clique being visited (valid inside `visit`).
+  int riders() const { return riders_; }
+
  private:
+  /// A clique candidate: an anchor neighbour and its graph slot.
+  struct Candidate {
+    OrderId id;
+    uint32_t slot;
+  };
+
   /// One in-flight enumeration level: a candidate range in `candidates_`
   /// and the loop position within it.
   struct Frame {
@@ -133,8 +157,9 @@ class CliqueEnumerator {
     members_.erase(std::find(members_.begin(), members_.end(), id));
   }
 
-  std::vector<OrderId> candidates_;  ///< All levels' ranges, stacked.
-  std::vector<OrderId> members_;    ///< Current clique, sorted.
+  std::vector<Candidate> candidates_;  ///< All levels' ranges, stacked.
+  std::vector<OrderId> members_;      ///< Current clique, sorted.
+  int riders_ = 0;                    ///< Riders of members_.
   std::vector<Frame> frames_;
 };
 

@@ -17,8 +17,13 @@
 // timestamps, which simulation time guarantees (the same monotonicity the
 // shareability graph's edge expiries already rely on).
 //
-// Invalidation: a reverse-membership index (member -> keys containing it)
-// drops every entry touching a departed order in O(entries containing it).
+// Invalidation: a reverse-membership index maps each member to a bucket of
+// pointers to the cached entries containing it (unordered_map nodes never
+// move on rehash). Each entry records its position in each of its members'
+// buckets, so dropping it from a bucket is a swap-pop that re-points the
+// entry moved into its place. A departure therefore evicts its entries in
+// O(entries containing it x group size), with no search; the index stays
+// exact, holding no key of an evicted entry.
 //
 // Concurrency: mutation is single-writer (the pool's serial commit phases);
 // Find is const and safe to call concurrently from the parallel search
@@ -97,7 +102,7 @@ class GroupPlanCache {
   /// at its current depart time and Put the result back.
   const CachedGroupPlan* Find(const GroupKey& key) const {
     auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
+    return it == entries_.end() ? nullptr : &it->second.cached;
   }
 
   /// Inserts or overwrites `key`'s outcome. The reverse index is updated on
@@ -112,9 +117,18 @@ class GroupPlanCache {
   int64_t evictions() const { return evictions_; }
 
  private:
-  std::unordered_map<GroupKey, CachedGroupPlan, GroupKeyHash> entries_;
-  /// member -> keys of cached entries containing it.
-  std::unordered_map<OrderId, std::vector<GroupKey>> containing_;
+  /// A cached outcome and its place in the reverse index: `bucket_pos[i]`
+  /// is its index in the bucket of member `key.ids[i]`.
+  struct Entry {
+    CachedGroupPlan cached;
+    std::array<uint32_t, kMaxGroupSize> bucket_pos{};
+  };
+  using Map = std::unordered_map<GroupKey, Entry, GroupKeyHash>;
+  using Node = Map::value_type;
+
+  Map entries_;
+  /// member -> the cached entries containing it, in no particular order.
+  std::unordered_map<OrderId, std::vector<Node*>> containing_;
   int64_t evictions_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "src/pool/shareability_graph.h"
 
 #include <algorithm>
+#include <cassert>
 #include <optional>
 #include <string>
 #include <utility>
@@ -117,15 +118,18 @@ std::vector<InsertOutcome> ShareabilityGraph::Insert(
     if (!outcomes[i].ok()) continue;
     Entry entry;
     entry.order = arrivals[i].order;
+    entry.slot = AcquireSlot(entry.order.riders);
     for (size_t k = first[i]; k < first[i + 1]; ++k) {
       if (!tested[k].has_value()) continue;
       PairPlanSeed& seed = *tested[k];
-      const ShareEdge edge{seed.other, seed.plan.latest_departure,
-                           seed.plan.total_cost};
-      entry.edges.push_back(edge);
-      entries_.find(seed.other)
-          ->second.edges.push_back(
-              ShareEdge{entry.order.id, edge.expiry, edge.pair_cost});
+      Entry& partner = entries_.find(seed.other)->second;
+      const Time expiry = seed.plan.latest_departure;
+      const double cost = seed.plan.total_cost;
+      entry.edges.push_back(ShareEdge{seed.other, partner.slot, expiry, cost});
+      partner.edges.push_back(
+          ShareEdge{entry.order.id, entry.slot, expiry, cost});
+      SetBit(Row(entry.slot), partner.slot);
+      SetBit(Row(partner.slot), entry.slot);
       ++edge_count_;
       outcomes[i].edges.push_back(std::move(seed));
     }
@@ -134,18 +138,49 @@ std::vector<InsertOutcome> ShareabilityGraph::Insert(
   return outcomes;
 }
 
+uint32_t ShareabilityGraph::AcquireSlot(int riders) {
+  if (free_slots_.empty()) {
+    // Double the capacity (64 slots at first): copy each row to the new
+    // stride, whose added words start zero, and free the new slots.
+    const size_t old_capacity = riders_.size();
+    const size_t old_words = words_per_row_;
+    words_per_row_ = std::max<size_t>(1, 2 * old_words);
+    const size_t capacity = 64 * words_per_row_;
+    std::vector<uint64_t> grown(capacity * words_per_row_, 0);
+    for (size_t row = 0; row < old_capacity; ++row) {
+      std::copy_n(&adjacency_[row * old_words], old_words,
+                  &grown[row * words_per_row_]);
+    }
+    adjacency_ = std::move(grown);
+    riders_.resize(capacity);
+    for (size_t slot = capacity; slot > old_capacity; --slot) {
+      free_slots_.push_back(static_cast<uint32_t>(slot - 1));
+    }
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  assert(std::all_of(Row(slot), Row(slot) + words_per_row_,
+                     [](uint64_t word) { return word == 0; }));
+  riders_[slot] = riders;
+  return slot;
+}
+
 Result<std::vector<OrderId>> ShareabilityGraph::Remove(OrderId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) {
     return Status::NotFound("order " + std::to_string(id) + " not pooled");
   }
+  const uint32_t slot = it->second.slot;
   std::vector<OrderId> neighbors;
   neighbors.reserve(it->second.edges.size());
   for (const ShareEdge& edge : it->second.edges) {
     neighbors.push_back(edge.other);
     RemoveEdgeTo(edge.other, id);
+    ClearBit(Row(slot), edge.other_slot);
+    ClearBit(Row(edge.other_slot), slot);
     --edge_count_;
   }
+  free_slots_.push_back(slot);
   entries_.erase(it);
   return neighbors;
 }
@@ -162,8 +197,10 @@ void ShareabilityGraph::RemoveEdgeTo(OrderId from, OrderId to) {
 }
 
 std::vector<OrderId> ShareabilityGraph::ExpireEdges(Time now) {
-  // Shard by entry — each task trims exactly one adjacency list, so shards
-  // touch disjoint state. The snapshot is sorted so the affected list is
+  // Shard by entry — each task trims exactly one adjacency list and clears
+  // bits in that entry's row only, so shards touch disjoint state. Both
+  // directions of an edge carry the same expiry, so the partner's task
+  // clears the mirror bit. The snapshot is sorted so the affected list is
   // identical for any thread count.
   std::vector<OrderId> ids = OrderIds();
   std::sort(ids.begin(), ids.end());
@@ -172,15 +209,16 @@ std::vector<OrderId> ShareabilityGraph::ExpireEdges(Time now) {
   executor_->ParallelFor(
       ids.size(), kParallelGrain, [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
-          auto& edges = entries_.find(ids[i])->second.edges;
-          size_t before = edges.size();
-          edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                     [now](const ShareEdge& e) {
-                                       return e.expiry < now;
-                                     }),
-                      edges.end());
-          kept[i] = static_cast<int64_t>(edges.size());
-          trimmed[i] = edges.size() != before ? 1 : 0;
+          Entry& entry = entries_.find(ids[i])->second;
+          uint64_t* row = Row(entry.slot);
+          const size_t removed =
+              std::erase_if(entry.edges, [&](const ShareEdge& e) {
+                const bool expired = e.expiry < now;
+                if (expired) ClearBit(row, e.other_slot);
+                return expired;
+              });
+          kept[i] = static_cast<int64_t>(entry.edges.size());
+          trimmed[i] = removed > 0 ? 1 : 0;
         }
       });
 
@@ -208,10 +246,16 @@ const std::vector<ShareEdge>& ShareabilityGraph::Neighbors(OrderId id) const {
 }
 
 bool ShareabilityGraph::HasEdge(OrderId a, OrderId b) const {
-  for (const ShareEdge& edge : Neighbors(a)) {
-    if (edge.other == b) return true;
-  }
-  return false;
+  const std::optional<uint32_t> slot_a = SlotOf(a);
+  const std::optional<uint32_t> slot_b = SlotOf(b);
+  return slot_a.has_value() && slot_b.has_value() &&
+         Adjacent(*slot_a, *slot_b);
+}
+
+std::optional<uint32_t> ShareabilityGraph::SlotOf(OrderId id) const {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return std::nullopt;
+  return it->second.slot;
 }
 
 std::vector<OrderId> ShareabilityGraph::OrderIds() const {

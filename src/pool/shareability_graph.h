@@ -18,6 +18,7 @@
 #define WATTER_POOL_SHAREABILITY_GRAPH_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -32,6 +33,7 @@ namespace watter {
 /// One shareability edge from the perspective of a node.
 struct ShareEdge {
   OrderId other = kInvalidOrder;
+  uint32_t other_slot = 0;  ///< `other`'s dense slot (see ShareabilityGraph).
   Time expiry = 0.0;       ///< tau_e: latest departure keeping the pair feasible.
   double pair_cost = 0.0;  ///< Minimal travel cost of the shared route.
 };
@@ -81,6 +83,16 @@ struct ShareabilityOptions {
 /// serially (arrival by arrival, each ascending by partner id), so the
 /// resulting graph is bitwise identical for any thread count (see
 /// thread_pool.h, determinism contract).
+///
+/// Dense slots: every resident order holds a slot in [0, slot capacity),
+/// taken from a free list by Insert's serial commit and returned by Remove.
+/// Per slot the graph keeps the order's riders and an adjacency row of
+/// 64-bit words (bit b of row a set iff slots a and b share an edge), so
+/// the clique enumerator tests adjacency with one bit test. The rows take
+/// capacity^2 / 8 bytes; the capacity doubles when the free list runs dry.
+/// Free slots keep all-zero rows and columns: Remove clears the bits of the
+/// edges it drops, and ExpireEdges those of the edges it trims. No result
+/// depends on a slot number.
 class ShareabilityGraph {
  public:
   ShareabilityGraph(RoutePlanner* planner, ShareabilityOptions options)
@@ -120,8 +132,20 @@ class ShareabilityGraph {
   /// Adjacency of `id` (empty if unknown).
   const std::vector<ShareEdge>& Neighbors(OrderId id) const;
 
-  /// True if an un-expired edge links a and b.
+  /// True if an edge not yet trimmed by ExpireEdges links a and b.
   bool HasEdge(OrderId a, OrderId b) const;
+
+  /// The dense slot of a resident order; nullopt if `id` is not pooled.
+  std::optional<uint32_t> SlotOf(OrderId id) const;
+
+  /// True if the orders in slots `a` and `b` share an edge (both must be
+  /// resident orders' slots).
+  bool Adjacent(uint32_t a, uint32_t b) const {
+    return (adjacency_[a * words_per_row_ + (b >> 6)] >> (b & 63)) & 1;
+  }
+
+  /// Riders of the order in `slot`.
+  int RidersAt(uint32_t slot) const { return riders_[slot]; }
 
   /// Ids of all resident orders (unspecified order).
   std::vector<OrderId> OrderIds() const;
@@ -133,15 +157,33 @@ class ShareabilityGraph {
  private:
   struct Entry {
     Order order;
+    uint32_t slot = 0;
     std::vector<ShareEdge> edges;
   };
 
   void RemoveEdgeTo(OrderId from, OrderId to);
 
+  /// A free slot for an order of `riders` riders, doubling the capacity
+  /// when none is free. Serial commits only.
+  uint32_t AcquireSlot(int riders);
+
+  uint64_t* Row(uint32_t slot) { return &adjacency_[slot * words_per_row_]; }
+  static void SetBit(uint64_t* row, uint32_t b) {
+    row[b >> 6] |= 1ull << (b & 63);
+  }
+  static void ClearBit(uint64_t* row, uint32_t b) {
+    row[b >> 6] &= ~(1ull << (b & 63));
+  }
+
   RoutePlanner* planner_;
   ShareabilityOptions options_;
   ThreadPool* executor_ = &ThreadPool::Inline();  // Never null; not owned.
   std::unordered_map<OrderId, Entry> entries_;
+  /// Slot capacity x words_per_row_ words; row a holds a's adjacency bits.
+  std::vector<uint64_t> adjacency_;
+  size_t words_per_row_ = 0;          // Slot capacity / 64.
+  std::vector<int> riders_;           // By slot; its size is the capacity.
+  std::vector<uint32_t> free_slots_;  // Popped from the back.
   int64_t edge_count_ = 0;   // Undirected edges currently present.
   int64_t pair_tests_ = 0;   // Pair plans attempted (diagnostics).
   std::vector<ShareEdge> empty_;

@@ -98,10 +98,14 @@ double Mlp::Forward(std::span<const float> input) const {
 
 double Mlp::ForwardBackward(std::span<const float> input, double dloss_dout,
                             std::vector<float>* grads) const {
-  assert(grads->size() == params_.size());
   double output = ForwardInternal(input);
+  Backward(dloss_dout, grads);
+  return output;
+}
 
-  // Backward pass: delta for the top layer is dLoss/dOutput.
+void Mlp::Backward(double dloss_dout, std::vector<float>* grads) const {
+  assert(grads->size() == params_.size());
+  // Delta for the top layer is dLoss/dOutput.
   std::vector<float> delta = {static_cast<float>(dloss_dout)};
   // Parameter offsets per layer (recomputed going backwards).
   std::vector<size_t> offsets(sizes_.size() - 1);
@@ -138,7 +142,6 @@ double Mlp::ForwardBackward(std::span<const float> input, double dloss_dout,
     }
     delta = std::move(next_delta);
   }
-  return output;
 }
 
 }  // namespace watter

@@ -29,6 +29,13 @@ class Mlp {
   double ForwardBackward(std::span<const float> input, double dloss_dout,
                          std::vector<float>* grads) const;
 
+  /// Backpropagates dLoss/dOutput through the activations of the last
+  /// Forward or ForwardBackward call on this network, *accumulating*
+  /// parameter gradients into `grads` (sized param_count()). Forward then
+  /// Backward gives exactly ForwardBackward's gradients, so a caller that
+  /// needs the output to form the loss gradient runs one forward pass.
+  void Backward(double dloss_dout, std::vector<float>* grads) const;
+
   std::vector<float>& params() { return params_; }
   const std::vector<float>& params() const { return params_; }
 

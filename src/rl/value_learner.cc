@@ -59,14 +59,14 @@ double ValueLearner::TrainStep() {
 
     featurizer_->Write(exp->state, &features_);
     // dLoss/dV = 2*omega*(V - td) + 2*(1-omega)*(V - tg); fold the batch
-    // mean into the factor.
+    // mean into the factor. Backward reuses this forward pass.
     double value = main_.Forward(features_);
     double td_err = value - td_target;
     double tg_err = value - tg_target;
     double dloss = (2.0 * options_.omega * td_err +
                     2.0 * (1.0 - options_.omega) * tg_err) /
                    static_cast<double>(batch.size());
-    main_.ForwardBackward(features_, dloss, &grads_);
+    main_.Backward(dloss, &grads_);
     total_loss += options_.omega * td_err * td_err +
                   (1.0 - options_.omega) * tg_err * tg_err;
   }

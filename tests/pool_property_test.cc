@@ -33,11 +33,15 @@ TEST_P(PoolPropertyTest, InvariantsHoldUnderRandomStreams) {
   Time now = 0.0;
   OrderId next_id = 1;
   std::vector<OrderId> alive;
+  size_t peak_residents = 0;
+  int removals = 0;
+  int slot_reuses = 0;  // Inserts while a removed order's slot is free.
   for (int step = 0; step < 300; ++step) {
     now += rng.Uniform(0, 20);
     double action = rng.Uniform();
     if (action < 0.6 || alive.empty()) {
       // Insert a fresh order.
+      if (removals > slot_reuses) ++slot_reuses;
       Order order;
       order.id = next_id++;
       order.pickup = city->RandomNode(&rng);
@@ -57,12 +61,14 @@ TEST_P(PoolPropertyTest, InvariantsHoldUnderRandomStreams) {
           rng.UniformInt(0, static_cast<int64_t>(alive.size()) - 1));
       ASSERT_TRUE(pool.Remove(alive[pick]).ok());
       alive.erase(alive.begin() + static_cast<int64_t>(pick));
+      ++removals;
     } else {
       pool.ExpireEdges(now);
     }
 
     // ---- Invariants ----
     ASSERT_EQ(pool.size(), alive.size());
+    peak_residents = std::max(peak_residents, alive.size());
     const ShareabilityGraph& graph = pool.graph();
     int64_t directed_edges = 0;
     for (OrderId id : alive) {
@@ -80,6 +86,20 @@ TEST_P(PoolPropertyTest, InvariantsHoldUnderRandomStreams) {
     }
     EXPECT_EQ(directed_edges % 2, 0);
     EXPECT_EQ(directed_edges / 2, graph.edge_count());
+
+    // The adjacency bits agree with the edge lists for every pair of
+    // residents, adjacent or not: no bit survives a trimmed or removed
+    // edge, also once a removed order's slot is reused.
+    for (OrderId a : alive) {
+      const std::vector<ShareEdge>& edges = graph.Neighbors(a);
+      for (OrderId b : alive) {
+        const bool listed =
+            std::any_of(edges.begin(), edges.end(),
+                        [b](const ShareEdge& e) { return e.other == b; });
+        ASSERT_EQ(graph.HasEdge(a, b), listed)
+            << a << "-" << b << " at step " << step;
+      }
+    }
 
     // Best groups: verified feasible shared groups containing the owner.
     if (step % 10 == 0) {
@@ -106,6 +126,9 @@ TEST_P(PoolPropertyTest, InvariantsHoldUnderRandomStreams) {
       }
     }
   }
+  // The stream outgrows one 64-slot row word and reuses freed slots.
+  EXPECT_GT(peak_residents, 64u);
+  EXPECT_GT(slot_reuses, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolPropertyTest,

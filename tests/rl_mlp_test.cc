@@ -246,6 +246,35 @@ TEST(MlpTest, SparseKernelMatchesDenseReference) {
   }
 }
 
+TEST(MlpTest, BackwardAfterForwardMatchesForwardBackward) {
+  // ValueLearner::TrainStep reads the output with Forward, then calls
+  // Backward on the same activations: the accumulated gradients must be
+  // ForwardBackward's bit for bit, including on sparse inputs.
+  const std::vector<std::vector<int>> shapes = {{37, 13, 5, 1}, {9, 1}};
+  for (const std::vector<int>& shape : shapes) {
+    SCOPED_TRACE("input width " + std::to_string(shape.front()));
+    Mlp net(shape, 29);
+    Rng rng(31);
+    std::vector<float> fused(net.param_count(), 0.0f);
+    std::vector<float> split(net.param_count(), 0.0f);
+    std::vector<float> input(shape.front());
+    for (int n = 0; n < 40; ++n) {
+      for (float& x : input) {
+        x = rng.Uniform() < 0.6 ? 0.0f
+                                : static_cast<float>(rng.Normal(0.0, 1.5));
+      }
+      double dloss = rng.Normal(0.0, 2.0);
+      double fused_out = net.ForwardBackward(input, dloss, &fused);
+      double split_out = net.Forward(input);
+      net.Backward(dloss, &split);
+      EXPECT_EQ(Bits(fused_out), Bits(split_out));
+    }
+    EXPECT_EQ(std::memcmp(fused.data(), split.data(),
+                          fused.size() * sizeof(float)),
+              0);
+  }
+}
+
 TEST(AdamTest, StepCountAndDirection) {
   AdamOptimizer adam(2, 0.1);
   std::vector<float> params = {1.0f, -1.0f};
