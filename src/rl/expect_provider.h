@@ -1,8 +1,13 @@
 // WATTER-expect: threshold provider backed by the learned value function.
 //
-// theta(i) = p(i) - V(s_t^(i)) (Section VI-A), clamped into [0, p(i)]. The
-// environment snapshot is rebuilt once per check round (all decisions in a
-// round share the same timestamp) and cached.
+// theta(i) = p(i) - V(s_t^(i)) (Section VI-A), clamped into [0, p(i)].
+// Caching contract: every call with one `now` belongs to one check round
+// and sees the same PoolContext, and the value network does not change
+// while the provider is in use. The first call of a round builds the
+// environment snapshot and prepares the value network's first-layer
+// products of the round-shared features (Featurizer::env_offset() on);
+// every later call of the round reads both and featurizes only its order.
+// Once prepared, the round's block is read-only.
 #ifndef WATTER_RL_EXPECT_PROVIDER_H_
 #define WATTER_RL_EXPECT_PROVIDER_H_
 
@@ -26,28 +31,30 @@ class ExpectThresholdProvider : public ThresholdProvider {
                       const PoolContext& context) override {
     double penalty = order.Penalty();
     if (penalty <= 0.0) return 0.0;
-    CompactState state =
-        featurizer_->MakeState(order, now, SnapshotFor(now, context));
+    const bool new_round = cached_snapshot_ == nullptr || cached_at_ != now;
+    if (new_round) {
+      cached_snapshot_ = MakeSnapshot(context);
+      cached_at_ = now;
+    }
+    CompactState state = featurizer_->MakeState(order, now, cached_snapshot_);
     featurizer_->Write(state, &features_);
-    double value = value_->Forward(features_);
+    if (new_round) {
+      value_->Prepare(features_, featurizer_->env_offset(), &shared_);
+    }
+    double value = value_->Forward(features_, shared_);
     return std::clamp(penalty - value, 0.0, penalty);
   }
 
   const char* name() const override { return "WATTER-expect"; }
 
  private:
-  std::shared_ptr<const EnvSnapshot> SnapshotFor(Time now,
-                                                 const PoolContext& context) {
-    if (cached_snapshot_ != nullptr && cached_at_ == now) {
-      return cached_snapshot_;
-    }
+  std::shared_ptr<const EnvSnapshot> MakeSnapshot(
+      const PoolContext& context) const {
     static const std::vector<int> kEmpty;
-    cached_snapshot_ = featurizer_->MakeSnapshot(
+    return featurizer_->MakeSnapshot(
         context.demand_pickup != nullptr ? *context.demand_pickup : kEmpty,
         context.demand_dropoff != nullptr ? *context.demand_dropoff : kEmpty,
         context.supply != nullptr ? *context.supply : kEmpty);
-    cached_at_ = now;
-    return cached_snapshot_;
   }
 
   const Featurizer* featurizer_;
@@ -55,6 +62,7 @@ class ExpectThresholdProvider : public ThresholdProvider {
   std::shared_ptr<const EnvSnapshot> cached_snapshot_;
   Time cached_at_ = -1.0;
   std::vector<float> features_;
+  PreparedInputs shared_;  // The round's environment block.
 };
 
 }  // namespace watter

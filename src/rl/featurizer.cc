@@ -71,7 +71,7 @@ void Featurizer::Write(const CompactState& state,
   (*out)[2 * cells] = state.release_slot;
   (*out)[2 * cells + 1] = state.waited_slots;
   // sO and sW distributions.
-  size_t base = static_cast<size_t>(2 * cells) + 2;
+  const size_t base = static_cast<size_t>(env_offset());
   if (state.env != nullptr) {
     const auto& dist = state.env->distributions;
     std::copy(dist.begin(), dist.end(), out->begin() + base);

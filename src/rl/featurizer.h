@@ -54,6 +54,12 @@ class Featurizer {
   /// Feature dimensionality: 2*cells (sL) + 2 (sT) + 3*cells (sO, sW) + 3.
   int feature_size() const { return 5 * cell_count() + 5; }
 
+  /// Where the environment block starts. The features below it (sL, sT)
+  /// depend only on the order and `now`; those from it on (sO, sW and the
+  /// three totals) only on the EnvSnapshot, so every order of a round
+  /// shares them.
+  int env_offset() const { return 2 * cell_count() + 2; }
+
   /// Normalizes raw per-cell counts into a shareable snapshot.
   std::shared_ptr<const EnvSnapshot> MakeSnapshot(
       const std::vector<int>& demand_pickup,

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "src/common/rng.h"
 
@@ -47,8 +48,11 @@ Mlp::Mlp(std::vector<int> layer_sizes, uint64_t seed)
 // leaves a sum unchanged unless the sum is -0. A sum can be -0 only if its
 // bias is, and biases start at +0, which Adam's subtractions never turn
 // into -0. Blocks of kBlock outputs walk the non-zero list once, with one
-// accumulator each.
-double Mlp::ForwardInternal(std::span<const float> input) const {
+// accumulator each. A prepared block's rows hold the same products of the
+// highest inputs, widened to double as the sum would widen them, so adding
+// them after the lower inputs keeps every operand and its place.
+double Mlp::ForwardInternal(std::span<const float> input,
+                            const PreparedInputs* prepared) const {
   assert(static_cast<int>(input.size()) == sizes_.front());
   std::copy(input.begin(), input.end(), activations_[0].begin());
   size_t cursor = 0;
@@ -59,10 +63,21 @@ double Mlp::ForwardInternal(std::span<const float> input) const {
     const float* bias = weights + static_cast<size_t>(fan_in) * fan_out;
     const float* in = activations_[layer].data();
     float* out = activations_[layer + 1].data();
+    const PreparedInputs* block = layer == 0 ? prepared : nullptr;
     std::vector<int>& nonzero = nonzeros_[layer];
     nonzero.clear();
-    for (int i = 0; i < fan_in; ++i) {
+    const int own_end = block != nullptr ? block->from : fan_in;
+    for (int i = 0; i < own_end; ++i) {
       if (in[i] != 0.0f) nonzero.push_back(i);
+    }
+    const size_t own = nonzero.size();
+    const double* products = nullptr;
+    size_t prepared_rows = 0;
+    if (block != nullptr) {
+      nonzero.insert(nonzero.end(), block->nonzero.begin(),
+                     block->nonzero.end());
+      products = block->products.data();
+      prepared_rows = block->nonzero.size();
     }
     bool is_output = layer + 2 == sizes_.size();
     auto store = [&](int o, double sum) {
@@ -74,17 +89,25 @@ double Mlp::ForwardInternal(std::span<const float> input) const {
       const float* rows = &weights[static_cast<size_t>(o) * fan_in];
       double sums[kBlock];
       for (int k = 0; k < kBlock; ++k) sums[k] = bias[o + k];
-      for (int i : nonzero) {
+      for (size_t n = 0; n < own; ++n) {
+        const int i = nonzero[n];
         for (int k = 0; k < kBlock; ++k) {
           sums[k] += rows[static_cast<size_t>(k) * fan_in + i] * in[i];
         }
+      }
+      for (size_t r = 0; r < prepared_rows; ++r) {
+        const double* row = &products[r * fan_out + o];
+        for (int k = 0; k < kBlock; ++k) sums[k] += row[k];
       }
       for (int k = 0; k < kBlock; ++k) store(o + k, sums[k]);
     }
     for (; o < fan_out; ++o) {
       const float* row = &weights[static_cast<size_t>(o) * fan_in];
       double sum = bias[o];
-      for (int i : nonzero) sum += row[i] * in[i];
+      for (size_t n = 0; n < own; ++n) sum += row[nonzero[n]] * in[nonzero[n]];
+      for (size_t r = 0; r < prepared_rows; ++r) {
+        sum += products[r * fan_out + o];
+      }
       store(o, sum);
     }
     cursor += static_cast<size_t>(fan_in) * fan_out + fan_out;
@@ -93,12 +116,43 @@ double Mlp::ForwardInternal(std::span<const float> input) const {
 }
 
 double Mlp::Forward(std::span<const float> input) const {
-  return ForwardInternal(input);
+  return ForwardInternal(input, nullptr);
+}
+
+void Mlp::Prepare(std::span<const float> input, int from,
+                  PreparedInputs* prepared) const {
+  const int fan_in = sizes_[0];
+  const int fan_out = sizes_[1];
+  assert(static_cast<int>(input.size()) == fan_in);
+  assert(from >= 0 && from <= fan_in);
+  prepared->from = from;
+  prepared->inputs.assign(input.begin() + from, input.end());
+  prepared->nonzero.clear();
+  prepared->products.clear();
+  for (int i = from; i < fan_in; ++i) {
+    if (input[i] == 0.0f) continue;
+    prepared->nonzero.push_back(i);
+    for (int o = 0; o < fan_out; ++o) {
+      const float product =
+          params_[static_cast<size_t>(o) * fan_in + i] * input[i];
+      prepared->products.push_back(product);
+    }
+  }
+}
+
+double Mlp::Forward(std::span<const float> input,
+                    const PreparedInputs& prepared) const {
+  assert(prepared.products.size() ==
+         prepared.nonzero.size() * static_cast<size_t>(sizes_[1]));
+  assert(prepared.inputs.size() == input.size() - prepared.from &&
+         std::memcmp(prepared.inputs.data(), input.data() + prepared.from,
+                     prepared.inputs.size() * sizeof(float)) == 0);
+  return ForwardInternal(input, &prepared);
 }
 
 double Mlp::ForwardBackward(std::span<const float> input, double dloss_dout,
                             std::vector<float>* grads) const {
-  double output = ForwardInternal(input);
+  double output = ForwardInternal(input, nullptr);
   Backward(dloss_dout, grads);
   return output;
 }

@@ -11,6 +11,20 @@
 
 namespace watter {
 
+/// The first-layer terms of an input block [from, input_size()) that many
+/// forward passes share, prepared once by Mlp::Prepare and then read-only.
+struct PreparedInputs {
+  int from = 0;
+  /// The block's non-zero inputs in ascending order, as full-input indices.
+  std::vector<int> nonzero;
+  /// One row of fan-out products per non-zero input: each the kernel's
+  /// float product weight * input, widened to double.
+  std::vector<double> products;
+  /// The block as prepared; Debug builds check each caller's input against
+  /// it.
+  std::vector<float> inputs;
+};
+
 /// A feed-forward ReLU network with a scalar linear output.
 class Mlp {
  public:
@@ -22,6 +36,20 @@ class Mlp {
 
   /// Evaluates V(input). `input` must have input_size() entries.
   double Forward(std::span<const float> input) const;
+
+  /// Prepares the first-layer products of `input[from..]` for
+  /// Forward(input, prepared). They stay valid while the first layer's
+  /// weights do; biases are not part of them.
+  void Prepare(std::span<const float> input, int from,
+               PreparedInputs* prepared) const;
+
+  /// Forward(input) bit for bit, provided `input[prepared.from..]` equals
+  /// the block `prepared` was prepared from: each first-layer output adds
+  /// its bias, then the products of the non-zero inputs below `from`, then
+  /// the prepared rows, the operands and order of the full pass. Leaves
+  /// the scratch as Forward(input) does, so Backward may follow.
+  double Forward(std::span<const float> input,
+                 const PreparedInputs& prepared) const;
 
   /// Forward pass plus backpropagation of dLoss/dOutput, *accumulating*
   /// parameter gradients into `grads` (sized param_count()). Returns the
@@ -46,8 +74,11 @@ class Mlp {
 
  private:
   /// Runs the forward pass, filling per-layer activations and non-zero
-  /// input lists into scratch buffers; returns the scalar output.
-  double ForwardInternal(std::span<const float> input) const;
+  /// input lists into scratch buffers; returns the scalar output. With
+  /// `prepared`, the first layer walks only the inputs below its block and
+  /// then adds its rows.
+  double ForwardInternal(std::span<const float> input,
+                         const PreparedInputs* prepared) const;
 
   std::vector<int> sizes_;
   std::vector<float> params_;

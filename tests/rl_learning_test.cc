@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/rl/expect_provider.h"
 #include "src/rl/featurizer.h"
 #include "src/rl/trainer.h"
@@ -73,6 +78,49 @@ TEST_F(FeaturizerTest, WaitedSlotsSaturate) {
   CompactState late = featurizer_.MakeState(order, 1e7, env);
   EXPECT_LT(early.waited_slots, 0.05);
   EXPECT_FLOAT_EQ(late.waited_slots, 1.0f);
+}
+
+TEST_F(FeaturizerTest, EnvOffsetSplitsOrderFeaturesFromRoundFeatures) {
+  // ExpectThresholdProvider prepares the value network's terms of the
+  // features from env_offset() on once per round, so those must depend on
+  // the snapshot alone, and the ones below it on the order and time alone.
+  EXPECT_EQ(featurizer_.env_offset(), 2 * 16 + 2);
+  Order near;
+  near.pickup = testutil::kA;
+  near.dropoff = testutil::kC;
+  near.release = 100;
+  Order far;
+  far.pickup = testutil::kF;
+  far.dropoff = testutil::kD;
+  far.release = 43000;
+  std::vector<int> quiet(16, 0);
+  quiet[2] = 3;
+  std::vector<int> busy(16, 1);
+  busy[7] = 9;
+  auto env_a = featurizer_.MakeSnapshot(quiet, busy, quiet);
+  auto env_b = featurizer_.MakeSnapshot(busy, quiet, busy);
+  auto features = [&](const Order& order, Time now,
+                      std::shared_ptr<const EnvSnapshot> env) {
+    std::vector<float> out;
+    featurizer_.Write(featurizer_.MakeState(order, now, std::move(env)), &out);
+    return out;
+  };
+  const auto offset = static_cast<std::ptrdiff_t>(featurizer_.env_offset());
+  auto head = [offset](const std::vector<float>& v) {
+    return std::vector<float>(v.begin(), v.begin() + offset);
+  };
+  auto tail = [offset](const std::vector<float>& v) {
+    return std::vector<float>(v.begin() + offset, v.end());
+  };
+  // Two orders under one snapshot: different heads, equal tails.
+  std::vector<float> near_a = features(near, 400, env_a);
+  std::vector<float> far_a = features(far, 43100, env_a);
+  EXPECT_NE(head(near_a), head(far_a));
+  EXPECT_EQ(tail(near_a), tail(far_a));
+  // One order under two snapshots: equal heads, different tails.
+  std::vector<float> near_b = features(near, 400, env_b);
+  EXPECT_EQ(head(near_a), head(near_b));
+  EXPECT_NE(tail(near_a), tail(near_b));
 }
 
 TEST(ReplayMemoryTest, RingBufferEviction) {
@@ -229,6 +277,62 @@ TEST(ExpectProviderTest, ThresholdIsPenaltyMinusValueClamped) {
   // Negative value clamps to the penalty.
   value.params().back() = -1e6f;
   EXPECT_DOUBLE_EQ(provider.ThresholdFor(order, 10, context), 100.0);
+}
+
+TEST(ExpectProviderTest, RoundCacheMatchesFromScratch) {
+  // One provider over several rounds, each with its own context and with
+  // repeated and interleaved calls, must give exactly the threshold that a
+  // fresh snapshot, the full feature vector and a full forward pass give.
+  Graph graph = testutil::MakeExample1Graph();
+  Featurizer featurizer(&graph, 4);
+  Mlp value({featurizer.feature_size(), 13, 1}, 3);
+  Rng rng(59);
+  for (float& p : value.params()) p = static_cast<float>(rng.Normal(0.0, 0.5));
+  value.params().back() = 500.0f;  // V near 500 keeps theta off its clamps.
+  ExpectThresholdProvider provider(&featurizer, &value);
+  std::vector<Order> orders(4);
+  const NodeId pickups[] = {testutil::kA, testutil::kD, testutil::kE,
+                            testutil::kB};
+  const NodeId dropoffs[] = {testutil::kC, testutil::kF, testutil::kF,
+                             testutil::kA};
+  for (size_t n = 0; n < orders.size(); ++n) {
+    orders[n].id = static_cast<OrderId>(n + 1);
+    orders[n].pickup = pickups[n];
+    orders[n].dropoff = dropoffs[n];
+    orders[n].release = 100.0 * static_cast<double>(n);
+    orders[n].shortest_cost = 120.0;
+    orders[n].deadline = orders[n].release + 2000.0;
+  }
+  Order expired = orders[0];
+  expired.deadline = expired.release + expired.shortest_cost;  // Penalty 0.
+  const int cells = featurizer.cell_count();
+  std::vector<float> features;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Time now = 600.0 + 10.0 * round;
+    std::vector<int> demand_pickup(cells), demand_dropoff(cells), supply(cells);
+    for (int c = 0; c < cells; ++c) {
+      demand_pickup[c] = static_cast<int>(rng.UniformInt(0, 3));
+      demand_dropoff[c] = static_cast<int>(rng.UniformInt(0, 2));
+      supply[c] = static_cast<int>(rng.UniformInt(0, 4));
+    }
+    PoolContext context{&demand_pickup, &demand_dropoff, &supply};
+    // An order without penalty answers before any snapshot is taken.
+    EXPECT_EQ(provider.ThresholdFor(expired, now, context), 0.0);
+    auto env = featurizer.MakeSnapshot(demand_pickup, demand_dropoff, supply);
+    for (size_t call = 0; call < 2 * orders.size(); ++call) {
+      const Order& order = orders[(call * 3 + round) % orders.size()];
+      featurizer.Write(featurizer.MakeState(order, now, env), &features);
+      const double penalty = order.Penalty();
+      const double expected =
+          std::clamp(penalty - value.Forward(features), 0.0, penalty);
+      ASSERT_GT(expected, 0.0);
+      ASSERT_LT(expected, penalty);
+      const double threshold = provider.ThresholdFor(order, now, context);
+      EXPECT_EQ(std::memcmp(&threshold, &expected, sizeof threshold), 0)
+          << "order " << order.id << ": " << threshold << " vs " << expected;
+    }
+  }
 }
 
 TEST(TrainerTest, EndToEndTrainingProducesModel) {

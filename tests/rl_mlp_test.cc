@@ -181,6 +181,16 @@ uint64_t Bits(double value) {
   return bits;
 }
 
+// About 60% +0, 10% -0, 3% tiny non-zeros the kernel must not skip, and the
+// rest normal draws.
+float SparseDraw(Rng* rng) {
+  double u = rng->Uniform();
+  if (u < 0.6) return 0.0f;
+  if (u < 0.7) return -0.0f;
+  if (u < 0.73) return u < 0.715 ? 1e-40f : -1e-40f;
+  return static_cast<float>(rng->Normal(0.0, 1.5));
+}
+
 TEST(MlpTest, SparseKernelMatchesDenseReference) {
   // Widths that are not multiples of the kernel's output block, the
   // WATTER-expect network itself, and a net with no hidden layer.
@@ -210,18 +220,7 @@ TEST(MlpTest, SparseKernelMatchesDenseReference) {
     std::vector<std::vector<float>> inputs(40,
                                            std::vector<float>(shape.front()));
     for (size_t n = 0; n + 2 < inputs.size(); ++n) {
-      for (float& x : inputs[n]) {
-        double u = rng.Uniform();
-        if (u < 0.6) {
-          x = 0.0f;
-        } else if (u < 0.7) {
-          x = -0.0f;
-        } else if (u < 0.73) {
-          x = u < 0.715 ? 1e-40f : -1e-40f;
-        } else {
-          x = static_cast<float>(rng.Normal(0.0, 1.5));
-        }
-      }
+      for (float& x : inputs[n]) x = SparseDraw(&rng);
     }
     net.params()[2] = net.params()[1];
     inputs[inputs.size() - 2][0] = 1.0f;
@@ -268,6 +267,75 @@ TEST(MlpTest, BackwardAfterForwardMatchesForwardBackward) {
       double split_out = net.Forward(input);
       net.Backward(dloss, &split);
       EXPECT_EQ(Bits(fused_out), Bits(split_out));
+    }
+    EXPECT_EQ(std::memcmp(fused.data(), split.data(),
+                          fused.size() * sizeof(float)),
+              0);
+  }
+}
+
+TEST(MlpTest, PreparedForwardMatchesForward) {
+  // Layer 0 as the output layer, widths that are not multiples of the
+  // kernel's output block, and the WATTER-expect network with its
+  // featurizer's boundary (2 * 100 cells + 2).
+  struct Shape {
+    std::vector<int> sizes;
+    int from;
+  };
+  const std::vector<Shape> shapes = {
+      {{29, 1}, 11}, {{37, 13, 5, 1}, 15}, {{505, 64, 32, 1}, 202}};
+  for (const Shape& shape : shapes) {
+    const int width = shape.sizes.front();
+    SCOPED_TRACE("input width " + std::to_string(width));
+    Mlp net(shape.sizes, 41);
+    Rng rng(43);
+    for (float& p : net.params()) p = static_cast<float>(rng.Normal(0.0, 0.4));
+    // The first output's weight w for input 0 and a cancelling pair of
+    // block inputs +-2^40 with weight 1 each: the output keeps w's low bits
+    // only when w is added after the pair, so it shows whether the order's
+    // terms come first, as in the full pass. A bias of 100 keeps the
+    // output above the ReLU.
+    const int big = shape.from;
+    net.params()[big] = 1.0f;
+    net.params()[big + 1] = 1.0f;
+    net.params()[static_cast<size_t>(width) * shape.sizes[1]] = 100.0f;
+    std::vector<float> fused(net.param_count(), 0.0f);
+    std::vector<float> split(net.param_count(), 0.0f);
+    std::vector<float> input(width);
+    PreparedInputs prepared;
+    for (int block = 0; block < 6; ++block) {
+      SCOPED_TRACE("block " + std::to_string(block));
+      // Block 0 is all zeros, block 1 opens with the cancelling pair.
+      for (int i = shape.from; i < width; ++i) {
+        input[i] = block == 0 ? 0.0f : SparseDraw(&rng);
+      }
+      if (block == 1) {
+        input[big] = 0x1p40f;
+        input[big + 1] = -0x1p40f;
+      }
+      // Prepared under an order head that no evaluated order has.
+      for (int i = 0; i < shape.from; ++i) {
+        input[i] = static_cast<float>(rng.Normal(0.0, 3.0));
+      }
+      net.Prepare(input, shape.from, &prepared);
+      for (int order = 0; order < 8; ++order) {
+        SCOPED_TRACE("order " + std::to_string(order));
+        // Order 0's head is all zeros; order 1's is the bare 1.0.
+        for (int i = 0; i < shape.from; ++i) {
+          input[i] = order == 0 ? 0.0f : SparseDraw(&rng);
+        }
+        if (order == 1) {
+          std::fill(input.begin(), input.begin() + shape.from, 0.0f);
+          input[0] = 1.0f;
+        }
+        const double full = net.Forward(input);
+        EXPECT_EQ(Bits(net.Forward(input, prepared)), Bits(full));
+        // Backward after the prepared pass sees the full pass's scratch.
+        const double dloss = rng.Normal(0.0, 2.0);
+        net.ForwardBackward(input, dloss, &fused);
+        net.Forward(input, prepared);
+        net.Backward(dloss, &split);
+      }
     }
     EXPECT_EQ(std::memcmp(fused.data(), split.data(),
                           fused.size() * sizeof(float)),

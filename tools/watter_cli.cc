@@ -3,13 +3,21 @@
 // Subcommands:
 //   watter generate --out DIR [workload flags]
 //       Generate a synthetic workload and write orders/workers CSVs.
-//   watter run --strategy NAME [workload flags]
+//   watter run --strategy NAME [--dispatch MODE] [--metrics-json FILE]
+//              [workload flags]
 //       Run one algorithm over a generated scenario and print metrics.
 //       NAME in {online, timeout, gdp, gas, nonsharing, gmm}.
 //   watter train --model FILE [workload flags]
-//       Train a WATTER-expect model offline and save it.
-//   watter evaluate --model FILE [workload flags]
+//       Train a WATTER-expect model offline and save it. The training days
+//       run on the trainer's own platform options, so train takes no
+//       --dispatch.
+//   watter evaluate --model FILE [--dispatch MODE] [--metrics-json FILE]
+//                   [workload flags]
 //       Load a trained model and evaluate it on a fresh day.
+//   A subcommand exits 2 with a usage error on a flag it does not read
+//   rather than ignore it: a flag of another subcommand (--out, --strategy,
+//   --model, --dispatch, --metrics-json), or in generate, which runs no
+//   platform, --threads and the robustness and observability flags.
 //
 // Common workload flags (defaults in brackets):
 //   --dataset nyc|cdc|xia [cdc]   --orders N [1500]   --workers M [150]
@@ -17,15 +25,21 @@
 //   --city-seed S [derived]       --duration HOURS [2]
 //   Every dataset, nyc and xia included, runs on the all-pairs matrix
 //   travel-time oracle.
+//
+// Platform flags (run, train and evaluate):
 //   --threads T [1; 0 = all CPUs this process may run on] — parallelism of
 //   the check loop and pool maintenance; metrics are identical for any T.
+//
+// Run and evaluate flags:
 //   --dispatch serial|batched [batched] — decision engine of the WATTER
 //   strategies (docs/DISPATCH.md): the batched sorted-offers engine (the
 //   default — its cost-ranked commits serve more orders under contention,
 //   see docs/PERFORMANCE.md) or the paper-faithful sequential loop. Either
 //   engine is deterministic for any --threads.
+//   --metrics-json FILE — dump the full MetricsReport as one JSON object,
+//   under the same field names as the fig-bench --json records.
 //
-// Robustness flags (docs/ROBUSTNESS.md):
+// Robustness flags (run, train and evaluate; docs/ROBUSTNESS.md):
 //   --faults SPEC — deterministic fault injection, e.g.
 //   "dropouts=5;brownouts=2;seed=7". Worker dropouts/returns, late
 //   dropouts, and oracle brownouts fire from a precomputed seeded schedule,
@@ -35,20 +49,19 @@
 //   (candidate probes + planner plans); overloaded rounds shed their
 //   least-urgent tail to the next round. 0 = unlimited.
 //
-// Observability flags (docs/OBSERVABILITY.md; all run-neutral — metrics are
-// bitwise identical whether they are set or not):
+// Observability flags (run, train and evaluate; docs/OBSERVABILITY.md; all
+// run-neutral — metrics are bitwise identical whether they are set or not):
 //   --trace FILE — export a Chrome trace-event JSON of the run (load in
 //   Perfetto / chrome://tracing): phase spans for every check round, pool
 //   refresh internals, oracle batches, thread-pool jobs.
 //   --timeline FILE — per-round timeline (pool size, shareability edges,
 //   offers/conflicts, phase durations, counter deltas) as
 //   JSON, or CSV when FILE ends in ".csv".
-//   --metrics-json FILE — dump the full MetricsReport as one JSON object,
-//   under the same field names as the fig-bench --json records.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/baseline/gas.h"
 #include "src/baseline/gdp.h"
@@ -74,36 +87,54 @@ struct CliArgs {
   std::string model_path;
   std::string out_dir = ".";
   std::string metrics_json_path;
-  bool ok = true;
-  std::string error;
+  /// The subcommand-specific flags given, in command-line order.
+  std::vector<std::string> command_flags;
 };
 
 [[noreturn]] void Usage(const char* message = nullptr) {
   if (message != nullptr) std::fprintf(stderr, "error: %s\n\n", message);
   std::fprintf(stderr,
                "usage: watter <generate|run|train|evaluate> [flags]\n"
-               "  run flags:      --strategy "
+               "  generate:       --out DIR\n"
+               "  run:            --strategy "
                "online|timeout|gdp|gas|nonsharing|gmm\n"
-               "  model flags:    --model FILE\n"
-               "  output flags:   --out DIR\n"
+               "  train:          --model FILE\n"
+               "  evaluate:       --model FILE\n"
+               "  run, evaluate:  --dispatch serial|batched (default batched)\n"
+               "                  --metrics-json FILE (full report as JSON)\n"
                "  workload flags: --dataset nyc|cdc|xia --orders N "
                "--workers M\n"
                "                  --tau X --eta X --capacity K --seed S\n"
                "                  --city-seed S --duration HOURS\n"
-               "                  --threads T (0 = all CPUs this process may run on)\n"
-               "                  --dispatch serial|batched (default batched)\n"
-               "  robustness:     --faults SPEC (docs/ROBUSTNESS.md grammar)\n"
+               "  run, train and evaluate:\n"
+               "    platform:     --threads T (0 = all CPUs this process may run on)\n"
+               "    robustness:   --faults SPEC (docs/ROBUSTNESS.md grammar)\n"
                "                  --budget N (per-round propose work units)\n"
-               "  observability:  --trace FILE (Chrome trace-event JSON)\n"
-               "                  --timeline FILE (per-round JSON; .csv = CSV)\n"
-               "                  --metrics-json FILE (full report as JSON)\n");
+               "    tracing:      --trace FILE (Chrome trace-event JSON)\n"
+               "                  --timeline FILE (per-round JSON; .csv = CSV)\n");
   std::exit(2);
+}
+
+// Whether `command` reads the subcommand-specific `flag`.
+bool CommandReads(const std::string& command, const std::string& flag) {
+  if (flag == "--out") return command == "generate";
+  if (flag == "--strategy") return command == "run";
+  if (flag == "--model") return command == "train" || command == "evaluate";
+  if (flag == "--dispatch" || flag == "--metrics-json") {
+    return command == "run" || command == "evaluate";
+  }
+  // The platform's flags: generate runs no platform.
+  return command != "generate";
 }
 
 CliArgs Parse(int argc, char** argv) {
   CliArgs args;
   if (argc < 2) Usage("missing command");
   args.command = argv[1];
+  if (args.command != "generate" && args.command != "run" &&
+      args.command != "train" && args.command != "evaluate") {
+    Usage("unknown command");
+  }
   args.workload.dataset = DatasetKind::kCdc;
   args.workload.num_orders = 1500;
   args.workload.num_workers = 150;
@@ -146,8 +177,10 @@ CliArgs Parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--duration") == 0) {
       args.workload.duration = std::atof(need_value("--duration")) * 3600.0;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.workload.num_threads = std::atoi(need_value("--threads"));
     } else if (std::strcmp(argv[i], "--dispatch") == 0) {
+      args.command_flags.push_back(argv[i]);
       std::string mode = need_value("--dispatch");
       if (mode == "serial") {
         args.sim.dispatch = DispatchMode::kSerial;
@@ -157,12 +190,16 @@ CliArgs Parse(int argc, char** argv) {
         Usage("unknown dispatch mode (serial|batched)");
       }
     } else if (std::strcmp(argv[i], "--strategy") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.strategy = need_value("--strategy");
     } else if (std::strcmp(argv[i], "--model") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.model_path = need_value("--model");
     } else if (std::strcmp(argv[i], "--out") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.out_dir = need_value("--out");
     } else if (std::strcmp(argv[i], "--faults") == 0) {
+      args.command_flags.push_back(argv[i]);
       std::string spec = need_value("--faults");
       Result<FaultSpec> parsed = ParseFaultSpec(spec);
       if (!parsed.ok()) {
@@ -170,15 +207,24 @@ CliArgs Parse(int argc, char** argv) {
       }
       args.workload.faults = spec;
     } else if (std::strcmp(argv[i], "--budget") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.workload.round_work_budget = std::atoll(need_value("--budget"));
     } else if (std::strcmp(argv[i], "--trace") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.workload.trace_path = need_value("--trace");
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.workload.timeline_path = need_value("--timeline");
     } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
+      args.command_flags.push_back(argv[i]);
       args.metrics_json_path = need_value("--metrics-json");
     } else {
       Usage((std::string("unknown flag: ") + argv[i]).c_str());
+    }
+  }
+  for (const std::string& flag : args.command_flags) {
+    if (!CommandReads(args.command, flag)) {
+      Usage((args.command + " does not read " + flag).c_str());
     }
   }
   return args;
@@ -212,6 +258,22 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
     if (value != 0) counters.AddRow({name, std::to_string(value)});
   });
   counters.Print();
+}
+
+// Writes `report` to --metrics-json's file, if one was given. Returns the
+// process exit status so far: 0, or 1 when the file cannot be written.
+int WriteMetricsJson(const CliArgs& args, const MetricsReport& report) {
+  if (args.metrics_json_path.empty()) return 0;
+  std::FILE* f = std::fopen(args.metrics_json_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "metrics-json write failed: %s\n",
+                 args.metrics_json_path.c_str());
+    return 1;
+  }
+  std::fprintf(f, "%s\n", MetricsReportJson(report).c_str());
+  std::fclose(f);
+  std::printf("metrics JSON written to %s\n", args.metrics_json_path.c_str());
+  return 0;
 }
 
 int Generate(const CliArgs& args) {
@@ -282,19 +344,7 @@ int Run(const CliArgs& args) {
     Usage("unknown strategy");
   }
   PrintReport(name, report);
-  if (!args.metrics_json_path.empty()) {
-    std::FILE* f = std::fopen(args.metrics_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "metrics-json write failed: %s\n",
-                   args.metrics_json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", MetricsReportJson(report).c_str());
-    std::fclose(f);
-    std::printf("metrics JSON written to %s\n",
-                args.metrics_json_path.c_str());
-  }
-  return 0;
+  return WriteMetricsJson(args, report);
 }
 
 int Train(const CliArgs& args) {
@@ -335,7 +385,7 @@ int Evaluate(const CliArgs& args) {
   auto provider = model->MakeProvider();
   MetricsReport report = RunWatter(&*scenario, provider.get(), args.sim);
   PrintReport("WATTER-expect", report);
-  return 0;
+  return WriteMetricsJson(args, report);
 }
 
 }  // namespace
@@ -345,6 +395,5 @@ int main(int argc, char** argv) {
   if (args.command == "generate") return Generate(args);
   if (args.command == "run") return Run(args);
   if (args.command == "train") return Train(args);
-  if (args.command == "evaluate") return Evaluate(args);
-  Usage("unknown command");
+  return Evaluate(args);
 }
