@@ -13,37 +13,32 @@ int main(int argc, char** argv) {
   std::vector<double> sweep = {2.0, 5.0, 10.0, 20.0, 40.0};
   if (quick) sweep = {5.0, 20.0};
 
-  std::vector<Algorithm> algorithms;
+  // Sweep the check period through SimOptions rather than the workload;
+  // results[period][variant], each cell simulated once.
+  std::vector<std::string> rows;
+  std::vector<std::vector<MetricsReport>> results;
   for (double period : sweep) {
-    (void)period;
-  }
-  // Sweep the check period through SimOptions rather than the workload.
-  for (const MetricColumn& metric : PaperMetrics()) {
-    Table table({"check_period(s)", "WATTER-online", "WATTER-timeout"});
-    for (double period : sweep) {
-      std::vector<std::string> row = {Table::Num(period, 0)};
-      for (int variant = 0; variant < 2; ++variant) {
-        auto scenario = GenerateScenario(base);
-        if (!scenario.ok()) {
-          std::fprintf(stderr, "scenario failed: %s\n",
-                       scenario.status().ToString().c_str());
-          return 1;
-        }
-        OnlineThresholdProvider online;
-        TimeoutThresholdProvider timeout;
-        ThresholdProvider* provider =
-            variant == 0 ? static_cast<ThresholdProvider*>(&online)
-                         : static_cast<ThresholdProvider*>(&timeout);
-        SimOptions sim;
-        sim.check_period = period;
-        MetricsReport report = RunWatter(&*scenario, provider, sim);
-        row.push_back(Table::Num(metric.get(report), metric.precision));
+    rows.push_back(Table::Num(period, 0));
+    results.emplace_back();
+    for (int variant = 0; variant < 2; ++variant) {
+      auto scenario = GenerateScenario(base);
+      if (!scenario.ok()) {
+        std::fprintf(stderr, "scenario failed: %s\n",
+                     scenario.status().ToString().c_str());
+        return 1;
       }
-      table.AddRow(std::move(row));
+      OnlineThresholdProvider online;
+      TimeoutThresholdProvider timeout;
+      ThresholdProvider* provider =
+          variant == 0 ? static_cast<ThresholdProvider*>(&online)
+                       : static_cast<ThresholdProvider*>(&timeout);
+      SimOptions sim;
+      sim.check_period = period;
+      results.back().push_back(RunWatter(&*scenario, provider, sim));
     }
-    std::printf("-- Ablation dt | CDC | %s --\n", metric.title);
-    table.Print();
-    std::printf("\n");
   }
+  PrintPaperTables("Ablation dt | CDC | ", "",
+                   {"check_period(s)", "WATTER-online", "WATTER-timeout"},
+                   rows, results);
   return 0;
 }

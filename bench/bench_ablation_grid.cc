@@ -13,32 +13,29 @@ int main(int argc, char** argv) {
   std::vector<int> sweep = {4, 8, 10, 16, 24};
   if (quick) sweep = {4, 16};
 
-  for (const MetricColumn& metric : PaperMetrics()) {
-    Table table({"grid_cells", "WATTER-online", "GAS"});
-    for (int cells : sweep) {
-      std::vector<std::string> row = {std::to_string(cells)};
-      {
-        auto scenario = GenerateScenario(base);
-        if (!scenario.ok()) return 1;
-        OnlineThresholdProvider provider;
-        SimOptions sim;
-        sim.grid_cells = cells;
-        MetricsReport report = RunWatter(&*scenario, &provider, sim);
-        row.push_back(Table::Num(metric.get(report), metric.precision));
-      }
-      {
-        auto scenario = GenerateScenario(base);
-        if (!scenario.ok()) return 1;
-        GasOptions gas;
-        gas.grid_cells = cells;
-        MetricsReport report = RunGas(&*scenario, gas);
-        row.push_back(Table::Num(metric.get(report), metric.precision));
-      }
-      table.AddRow(std::move(row));
+  // results[cells] = {WATTER-online, GAS}, each cell simulated once.
+  std::vector<std::string> rows;
+  std::vector<std::vector<MetricsReport>> results;
+  for (int cells : sweep) {
+    rows.push_back(std::to_string(cells));
+    results.emplace_back();
+    {
+      auto scenario = GenerateScenario(base);
+      if (!scenario.ok()) return 1;
+      OnlineThresholdProvider provider;
+      SimOptions sim;
+      sim.grid_cells = cells;
+      results.back().push_back(RunWatter(&*scenario, &provider, sim));
     }
-    std::printf("-- Ablation grid | CDC | %s --\n", metric.title);
-    table.Print();
-    std::printf("\n");
+    {
+      auto scenario = GenerateScenario(base);
+      if (!scenario.ok()) return 1;
+      GasOptions gas;
+      gas.grid_cells = cells;
+      results.back().push_back(RunGas(&*scenario, gas));
+    }
   }
+  PrintPaperTables("Ablation grid | CDC | ", "",
+                   {"grid_cells", "WATTER-online", "GAS"}, rows, results);
   return 0;
 }

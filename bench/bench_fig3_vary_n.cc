@@ -24,13 +24,15 @@ int main(int argc, char** argv) {
   const std::string timeline_path = BenchTimelinePath(argc, argv);
   RejectUnreadArgs(argc, argv);
 
+  // The training days run with the sweep's fault spec but untraced.
+  SimOptions train_sim;
+  train_sim.faults = faults;
   for (DatasetKind dataset : datasets) {
     WorkloadOptions base = BaseWorkload(dataset);
     base.num_threads = threads;
-    base.faults = faults;
     std::unique_ptr<ExpectModel> model;
     if (!quick) {
-      auto trained = TrainExpect(base);
+      auto trained = TrainExpect(base, train_sim);
       if (!trained.ok()) {
         std::fprintf(stderr, "training failed: %s\n",
                      trained.status().ToString().c_str());
@@ -38,10 +40,6 @@ int main(int argc, char** argv) {
       }
       model = std::make_unique<ExpectModel>(std::move(trained).value());
     }
-    // Observability taps ride on the workload so every simulated run of the
-    // sweep inherits them; the training days above stay untraced.
-    base.trace_path = trace_path;
-    base.timeline_path = timeline_path;
     std::vector<int> sweep;
     int base_n = base.num_orders;
     for (double factor : {0.5, 0.75, 1.0, 1.25}) {
@@ -50,8 +48,10 @@ int main(int argc, char** argv) {
     if (quick) sweep = {sweep[0], sweep[2]};
     for (DispatchMode mode : modes) {
       BenchJson().dispatch = DispatchName(mode);
-      SimOptions sim;
+      SimOptions sim = train_sim;
       sim.dispatch = mode;
+      sim.trace_path = trace_path;
+      sim.timeline_path = timeline_path;
       std::string figure = "Figure 3";
       if (modes.size() > 1) {
         figure += std::string(" [dispatch=") + DispatchName(mode) + "]";

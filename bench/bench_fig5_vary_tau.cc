@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   BenchJson().path = BenchJsonPath(argc, argv);
   BenchJson().threads = threads;
   BenchJson().dispatch = DispatchName(sim.dispatch);
-  const std::string trace_path = BenchTracePath(argc, argv);
-  const std::string timeline_path = BenchTimelinePath(argc, argv);
+  // The sweep's runs are traced; TrainExpect's days are not.
+  sim.trace_path = BenchTracePath(argc, argv);
+  sim.timeline_path = BenchTimelinePath(argc, argv);
   RejectUnreadArgs(argc, argv);
 
   for (DatasetKind dataset : BenchDatasets(quick)) {
@@ -33,9 +34,6 @@ int main(int argc, char** argv) {
       }
       model = std::make_unique<ExpectModel>(std::move(trained).value());
     }
-    // Observability taps (training days above stay untraced).
-    base.trace_path = trace_path;
-    base.timeline_path = timeline_path;
     std::vector<double> sweep = {1.2, 1.4, 1.6, 1.8};
     if (quick) sweep = {1.2, 1.8};
     RunSweep<double>(

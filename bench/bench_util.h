@@ -24,6 +24,7 @@
 
 #include "src/baseline/gas.h"
 #include "src/baseline/gdp.h"
+#include "src/common/csv.h"
 #include "src/common/table.h"
 #include "src/rl/trainer.h"
 #include "src/sim/platform.h"
@@ -97,38 +98,41 @@ inline void RejectUnreadArgs(int argc, char** argv) {
   }
 }
 
-/// True when `--quick` is passed or WATTER_BENCH_QUICK is set: fewer sweep
-/// points and no RL training, for smoke runs.
+/// True when `--quick` is passed: fewer sweep points and no RL training,
+/// for smoke runs.
 inline bool QuickMode(int argc, char** argv) {
-  return HasSwitch(argc, argv, "--quick") ||
-         std::getenv("WATTER_BENCH_QUICK") != nullptr;
+  return HasSwitch(argc, argv, "--quick");
 }
 
-/// Threads the simulated platforms run on: `--threads T` or
-/// WATTER_BENCH_THREADS (0 = all CPUs this process may run on; default
-/// 1 = serial).
-/// Metrics are thread-count-independent, so sweeps stay comparable.
+/// Threads the simulated platforms run on: `--threads T` (0 = all CPUs
+/// this process may run on; default 1 = serial). Exits 2 unless T is a
+/// whole number of at least 0. Metrics are thread-count-independent, so
+/// sweeps stay comparable.
 inline int BenchThreads(int argc, char** argv) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--threads", "T");
-  if (!values.empty()) return std::atoi(values.front());
-  const char* env = std::getenv("WATTER_BENCH_THREADS");
-  return env != nullptr ? std::atoi(env) : 1;
+  if (values.empty()) return 1;
+  Result<int> threads = ParseInteger<int>(values.front());
+  if (!threads.ok() || *threads < 0) {
+    std::fprintf(stderr, "%s: --threads needs a whole number >= 0: '%s'\n",
+                 argv[0], values.front());
+    std::exit(2);
+  }
+  return *threads;
 }
 
 inline const char* DispatchName(DispatchMode mode) {
   return mode == DispatchMode::kBatched ? "batched" : "serial";
 }
 
-/// Dispatch engines to sweep: `--dispatch serial|batched|both` or
-/// WATTER_BENCH_DISPATCH. Default runs the batched engine only (the
-/// platform default since the engine A/B); `both` produces the
-/// serial-vs-batched A/B the JSON baseline records.
+/// Dispatch engines to sweep: `--dispatch serial|batched|both`. Default
+/// runs the batched engine only (the platform default since the engine
+/// A/B); `both` produces the serial-vs-batched A/B the JSON baseline
+/// records.
 inline std::vector<DispatchMode> BenchDispatchModes(int argc, char** argv) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--dispatch", "serial|batched|both");
   const char* value = values.empty() ? nullptr : values.back();
-  if (value == nullptr) value = std::getenv("WATTER_BENCH_DISPATCH");
   if (value == nullptr || std::strcmp(value, "batched") == 0) {
     return {DispatchMode::kBatched};
   }
@@ -141,16 +145,14 @@ inline std::vector<DispatchMode> BenchDispatchModes(int argc, char** argv) {
 }
 
 /// Deterministic fault-injection spec for the simulated runs: `--faults
-/// SPEC` or WATTER_BENCH_FAULTS (docs/ROBUSTNESS.md grammar). Empty (the
-/// default) keeps fault injection off — the sweep is then bitwise identical
-/// to a faultless build. A faulted sweep is what BENCH_faults.json records:
-/// the GDP/GAS baselines ignore faults, so drivers skip them when a spec is
-/// set.
+/// SPEC` (docs/ROBUSTNESS.md grammar). Empty (the default) keeps fault
+/// injection off — the sweep is then bitwise identical to a faultless
+/// build. A faulted sweep is what BENCH_faults.json records: the GDP/GAS
+/// baselines ignore faults, so drivers skip them when a spec is set.
 inline std::string BenchFaultSpec(int argc, char** argv) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--faults", "SPEC");
   const char* value = values.empty() ? nullptr : values.back();
-  if (value == nullptr) value = std::getenv("WATTER_BENCH_FAULTS");
   if (value == nullptr) return "";
   Result<FaultSpec> parsed = ParseFaultSpec(value);
   if (!parsed.ok()) {
@@ -174,11 +176,11 @@ inline DispatchMode SingleDispatchMode(int argc, char** argv) {
   return modes.front();
 }
 
-/// Machine-readable sweep output (`--json FILE` or WATTER_BENCH_JSON): one
-/// JSON array of records, one record per (sweep value, algorithm) cell,
-/// written at process exit. BENCH_dispatch.json in the repo root is
-/// produced this way (CMake target `bench_dispatch_json`) so dispatch-
-/// engine baselines stay comparable across PRs.
+/// Machine-readable sweep output (`--json FILE`): one JSON array of
+/// records, one record per (sweep value, algorithm) cell, written at
+/// process exit. BENCH_dispatch.json in the repo root is produced this way
+/// (CMake target `bench_dispatch_json`), and the golden-record ctests
+/// (check_golden_record.cmake) compare fresh records with it.
 struct JsonSink {
   std::string path;
   int threads = 1;
@@ -214,35 +216,29 @@ inline JsonSink& BenchJson() {
 inline std::string BenchJsonPath(int argc, char** argv) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--json", "FILE");
-  if (!values.empty()) return values.front();
-  const char* env = std::getenv("WATTER_BENCH_JSON");
-  return env != nullptr ? env : "";
+  return values.empty() ? "" : values.front();
 }
 
-/// Chrome trace-event output for the simulated runs: `--trace FILE` or
-/// WATTER_BENCH_TRACE (docs/OBSERVABILITY.md). The recorder is global and
-/// accumulates across runs, and every traced run re-exports the whole
-/// buffer, so FILE ends up covering the full sweep on one timeline.
-/// Run-neutral: metrics are bitwise identical with or without it.
+/// Chrome trace-event output for the simulated runs: `--trace FILE`
+/// (docs/OBSERVABILITY.md). The recorder is global and accumulates across
+/// runs, and every traced run re-exports the whole buffer, so FILE ends up
+/// covering the full sweep on one timeline. Run-neutral: metrics are
+/// bitwise identical with or without it.
 inline std::string BenchTracePath(int argc, char** argv) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--trace", "FILE");
-  if (!values.empty()) return values.front();
-  const char* env = std::getenv("WATTER_BENCH_TRACE");
-  return env != nullptr ? env : "";
+  return values.empty() ? "" : values.front();
 }
 
-/// Per-round timeline output: `--timeline FILE` or WATTER_BENCH_TIMELINE
-/// (JSON, or CSV when FILE ends in ".csv"). The sampler is per-platform, so
-/// each run overwrites FILE and the last simulated run of the sweep wins —
-/// point a sweep of one cell at it, or use watter_cli for a single run.
-/// Run-neutral like the trace.
+/// Per-round timeline output: `--timeline FILE` (JSON, or CSV when FILE
+/// ends in ".csv"). The sampler is per-platform, so each run overwrites
+/// FILE and the last simulated run of the sweep wins — point a sweep of
+/// one cell at it, or use watter_cli for a single run. Run-neutral like
+/// the trace.
 inline std::string BenchTimelinePath(int argc, char** argv) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--timeline", "FILE");
-  if (!values.empty()) return values.front();
-  const char* env = std::getenv("WATTER_BENCH_TIMELINE");
-  return env != nullptr ? env : "";
+  return values.empty() ? "" : values.front();
 }
 
 /// Baseline workload for a dataset at the reproduction scale. Defaults
@@ -278,12 +274,15 @@ struct Algorithm {
   std::function<MetricsReport(Scenario*)> run;
 };
 
-/// Trains a WATTER-expect model for workloads shaped like `base`.
-inline Result<ExpectModel> TrainExpect(const WorkloadOptions& base) {
+/// Trains a WATTER-expect model for workloads shaped like `base`, its
+/// training days run with `sim`.
+inline Result<ExpectModel> TrainExpect(const WorkloadOptions& base,
+                                       const SimOptions& sim = {}) {
   ExpectTrainOptions train;
   train.bootstrap_days = 1;
   train.behavior_days = 2;
   train.epochs = 2;
+  train.sim = sim;
   return TrainExpectModel(base, train);
 }
 
@@ -348,6 +347,31 @@ inline std::vector<MetricColumn> PaperMetrics() {
   };
 }
 
+/// Prints one table per paper metric, titled "-- `prefix`<metric>`suffix`
+/// --": `headers` over one row per entry of `rows`, whose cells are that
+/// metric of `results[row][column]`. Every table reads the same reports, so
+/// the running times come from the runs the other tables show.
+inline void PrintPaperTables(
+    const std::string& prefix, const std::string& suffix,
+    const std::vector<std::string>& headers,
+    const std::vector<std::string>& rows,
+    const std::vector<std::vector<MetricsReport>>& results) {
+  for (const MetricColumn& metric : PaperMetrics()) {
+    std::printf("-- %s%s%s --\n", prefix.c_str(), metric.title,
+                suffix.c_str());
+    Table table(headers);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::vector<std::string> row = {rows[r]};
+      for (const MetricsReport& report : results[r]) {
+        row.push_back(Table::Num(metric.get(report), metric.precision));
+      }
+      table.AddRow(std::move(row));
+    }
+    table.Print();
+    std::printf("\n");
+  }
+}
+
 /// Runs `algorithms` over scenarios produced per sweep value and prints the
 /// figure-style tables. `make_options` maps a sweep value to workload
 /// options; `sweep_label` names the x-axis (e.g. "n", "m", "tau").
@@ -385,25 +409,14 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
       }
     }
   }
-  for (const MetricColumn& metric : PaperMetrics()) {
-    std::printf("-- %s | %s | %s (rows: %s) --\n", figure.c_str(),
-                DatasetName(dataset), metric.title, sweep_label.c_str());
-    std::vector<std::string> headers = {sweep_label};
-    for (const Algorithm& algorithm : algorithms) {
-      headers.push_back(algorithm.name);
-    }
-    Table table(headers);
-    for (size_t v = 0; v < values.size(); ++v) {
-      std::vector<std::string> row = {std::to_string(values[v])};
-      for (size_t a = 0; a < algorithms.size(); ++a) {
-        row.push_back(
-            Table::Num(metric.get(results[v][a]), metric.precision));
-      }
-      table.AddRow(std::move(row));
-    }
-    table.Print();
-    std::printf("\n");
+  std::vector<std::string> headers = {sweep_label};
+  for (const Algorithm& algorithm : algorithms) {
+    headers.push_back(algorithm.name);
   }
+  std::vector<std::string> rows;
+  for (SweepValue value : values) rows.push_back(std::to_string(value));
+  PrintPaperTables(figure + " | " + DatasetName(dataset) + " | ",
+                   " (rows: " + sweep_label + ")", headers, rows, results);
 }
 
 /// Datasets to sweep: all three, or just CDC in quick mode.
@@ -412,15 +425,14 @@ inline std::vector<DatasetKind> BenchDatasets(bool quick) {
   return {DatasetKind::kNyc, DatasetKind::kCdc, DatasetKind::kXia};
 }
 
-/// Like BenchDatasets(quick), but `--datasets nyc|cdc|xia` (or
-/// WATTER_BENCH_DATASETS) narrows the sweep to one dataset, so a full-scale
-/// engine A/B fits the 1-core recording box without dropping sweep points.
+/// Like BenchDatasets(quick), but `--datasets nyc|cdc|xia` narrows the
+/// sweep to one dataset, so a full-scale engine A/B fits the 1-core
+/// recording box without dropping sweep points.
 inline std::vector<DatasetKind> BenchDatasets(int argc, char** argv,
                                               bool quick) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--datasets", "nyc|cdc|xia|all");
   const char* value = values.empty() ? nullptr : values.back();
-  if (value == nullptr) value = std::getenv("WATTER_BENCH_DATASETS");
   if (value == nullptr || std::strcmp(value, "all") == 0) {
     return BenchDatasets(quick);
   }

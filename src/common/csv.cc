@@ -1,5 +1,6 @@
 #include "src/common/csv.h"
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -102,6 +103,15 @@ Result<CsvDocument> ReadCsv(const std::string& path) {
   }
   if (first) return Status::IoError("empty csv file: " + path);
   return doc;
+}
+
+Result<double> ParseDouble(const std::string& field) {
+  char* end = nullptr;
+  double value = std::strtod(field.c_str(), &end);
+  if (end == field.c_str() || *end != '\0') {
+    return Status::InvalidArgument("not a number: '" + field + "'");
+  }
+  return value;
 }
 
 }  // namespace watter

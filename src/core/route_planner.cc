@@ -185,10 +185,4 @@ Result<GroupPlan> RoutePlanner::PlanBest(
   return plan;
 }
 
-bool RoutePlanner::PairShareable(const Order& a, const Order& b,
-                                 Time depart_time, int capacity) {
-  std::vector<const Order*> pair = {&a, &b};
-  return PlanBest(pair, depart_time, capacity).ok();
-}
-
 }  // namespace watter

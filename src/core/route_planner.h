@@ -42,9 +42,9 @@ struct GroupPlan {
 
 /// Plans minimum-cost feasible routes for small order groups.
 ///
-/// Thread safety: PlanBest/PairShareable keep all working state on the
-/// stack, so concurrent calls are safe as long as the bound oracle is (all
-/// oracles are; see travel_time_oracle.h).
+/// Thread safety: PlanBest keeps all working state on the stack, so
+/// concurrent calls are safe as long as the bound oracle is (all oracles
+/// are; see travel_time_oracle.h).
 class RoutePlanner {
  public:
   /// Binds to a travel-time oracle (not owned).
@@ -57,10 +57,6 @@ class RoutePlanner {
   /// route satisfies the deadline + capacity constraints.
   Result<GroupPlan> PlanBest(const std::vector<const Order*>& orders,
                              Time depart_time, int capacity);
-
-  /// True if the two orders admit a feasible shared route at `depart_time`.
-  bool PairShareable(const Order& a, const Order& b, Time depart_time,
-                     int capacity);
 
   /// Number of PlanBest calls. Exact: each call adds one to the calling
   /// thread's own slot, so the pool threads' pair tests share no line.

@@ -45,6 +45,7 @@ bool ParseSeed(const std::string& text, uint64_t* out) {
 
 Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
   FaultSpec out;
+  std::vector<std::string> keys;  // Seen so far: each key may appear once.
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t sep = spec.find_first_of(";,", pos);
@@ -63,6 +64,10 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
     }
     const std::string key = clause.substr(0, eq);
     const std::string value = clause.substr(eq + 1);
+    if (std::find(keys.begin(), keys.end(), key) != keys.end()) {
+      return Status::InvalidArgument("fault key '" + key + "' is repeated");
+    }
+    keys.push_back(key);
     bool ok = true;
     if (key == "seed") {
       ok = ParseSeed(value, &out.seed);

@@ -71,7 +71,8 @@ struct FaultSpec {
 
 /// Parses the `key=value[;key=value...]` fault grammar (`,` also accepted
 /// as a separator; empty string yields the inert default spec). Unknown
-/// keys, malformed numbers, and out-of-domain values are InvalidArgument.
+/// or repeated keys, malformed numbers, and out-of-domain values are
+/// InvalidArgument.
 Result<FaultSpec> ParseFaultSpec(const std::string& spec);
 
 /// Renders a spec back to canonical `key=value;...` form (only non-default

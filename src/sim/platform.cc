@@ -19,6 +19,9 @@ PoolOptions MergePoolOptions(PoolOptions base, const Scenario& scenario) {
   return base;
 }
 
+// WorkloadOptions::num_threads stays a fallback only while
+// benchmark/watter_bench.cc sets it (ROADMAP.md item C's benchmark-only
+// change removes it).
 int ResolveThreads(const SimOptions& options, const Scenario& scenario) {
   int threads =
       options.num_threads != 0 ? options.num_threads
@@ -26,24 +29,13 @@ int ResolveThreads(const SimOptions& options, const Scenario& scenario) {
   return threads <= 0 ? ThreadPool::DefaultThreads() : threads;
 }
 
-FaultSpec ResolveFaultSpec(const SimOptions& options,
-                           const Scenario& scenario) {
-  const std::string& spec = !options.faults.empty()
-                                ? options.faults
-                                : scenario.options.faults;
+FaultSpec ParseFaults(const std::string& spec) {
   if (spec.empty()) return FaultSpec{};
   Result<FaultSpec> parsed = ParseFaultSpec(spec);
   // The CLI validates specs before construction; an invalid spec reaching
   // an embedder is a configuration programmer error.
   WATTER_CHECK(parsed.ok(), parsed.status().ToString().c_str());
   return std::move(parsed).value();
-}
-
-int64_t ResolveBudget(const SimOptions& options, const Scenario& scenario) {
-  int64_t budget = options.round_work_budget != 0
-                       ? options.round_work_budget
-                       : scenario.options.round_work_budget;
-  return budget < 0 ? 0 : budget;  // Negative = force unlimited.
 }
 
 // Fault event times are drawn over the arrival window, derived from
@@ -99,7 +91,7 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
     : scenario_(scenario),
       provider_(provider),
       options_(options),
-      fault_spec_(ResolveFaultSpec(options, *scenario)),
+      fault_spec_(ParseFaults(options.faults)),
       injector_(fault_spec_.any()
                     ? std::make_unique<FaultInjector>(
                           fault_spec_,
@@ -123,15 +115,7 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
       pooled_dropoffs_(pooled_pickups_.size(), 0) {
   pool_.set_executor(&executor_);
   track_trips_ = injector_ != nullptr && fault_spec_.has_dropouts();
-  work_budget_ = ResolveBudget(options_, *scenario);
-  // Observability knobs: SimOptions wins when set, else the scenario's
-  // workload options (the CLI/bench path).
-  trace_path_ = !options_.trace_path.empty() ? options_.trace_path
-                                             : scenario->options.trace_path;
-  timeline_path_ = !options_.timeline_path.empty()
-                       ? options_.timeline_path
-                       : scenario->options.timeline_path;
-  if (!timeline_path_.empty()) {
+  if (!options_.timeline_path.empty()) {
     std::vector<std::string> columns;
     VisitCounters(MetricsReport{}, [&columns](const char* name, int64_t) {
       columns.emplace_back(name);
@@ -319,7 +303,7 @@ void WatterPlatform::RunCheck(Time now) {
   // set is a pure function of the round state (never of wall-clock).
   std::vector<OrderId> budgeted;
   const std::vector<OrderId>* propose_ids = &ids;
-  if (work_budget_ > 0) {
+  if (options_.round_work_budget > 0) {
     budgeted = BudgetedIds(ids, now);
     propose_ids = &budgeted;
   }
@@ -726,7 +710,7 @@ std::vector<OrderId> WatterPlatform::BudgetedIds(
     int64_t units = EstimateWorkUnits(id, now);
     // Always fund at least one order per round — a budget below the
     // cheapest single bid must still make progress.
-    if (spent + units > work_budget_ && !eligible.empty()) {
+    if (spent + units > options_.round_work_budget && !eligible.empty()) {
       shed = static_cast<int64_t>(urgency.size() - i);
       break;
     }
@@ -779,11 +763,12 @@ MetricsReport WatterPlatform::Run() {
   // Both stay enabled for the rest of the process (they accumulate across
   // runs by design; see docs/OBSERVABILITY.md "Lifecycle") — the platform
   // merely exports the current state at the end of this run.
-  if (!trace_path_.empty()) {
+  const std::string& trace_path = options_.trace_path;
+  if (!trace_path.empty()) {
     obs::TraceRecorder::Global().SetCurrentThreadName("main");
     obs::TraceRecorder::Global().Enable();
   }
-  if (!trace_path_.empty() || sampling_) {
+  if (!trace_path.empty() || sampling_) {
     obs::HistogramRegistry::Global().Enable();
   }
   Stopwatch algorithm_time;
@@ -837,20 +822,19 @@ MetricsReport WatterPlatform::Run() {
   // recorder is quiescent (trace.h). Failures only warn:
   // diagnostics must never fail a run.
   if (timeline_) {
-    const bool csv = timeline_path_.size() >= 4 &&
-                     timeline_path_.compare(timeline_path_.size() - 4, 4,
-                                            ".csv") == 0;
-    bool ok = csv ? timeline_->WriteCsv(timeline_path_)
-                  : timeline_->WriteJson(timeline_path_);
+    const std::string& path = options_.timeline_path;
+    const bool csv =
+        path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+    bool ok = csv ? timeline_->WriteCsv(path) : timeline_->WriteJson(path);
     if (!ok) {
       std::fprintf(stderr, "warning: could not write timeline to %s\n",
-                   timeline_path_.c_str());
+                   path.c_str());
     }
   }
-  if (!trace_path_.empty() &&
-      !obs::TraceRecorder::Global().ExportChromeTrace(trace_path_)) {
+  if (!trace_path.empty() &&
+      !obs::TraceRecorder::Global().ExportChromeTrace(trace_path)) {
     std::fprintf(stderr, "warning: could not write trace to %s\n",
-                 trace_path_.c_str());
+                 trace_path.c_str());
   }
   return report;
 }

@@ -76,11 +76,10 @@ struct SimOptions {
   double cancellation_hazard = 0.0;
   /// Seed for platform-side randomness (currently only cancellations).
   uint64_t sim_seed = 0xC0FFEE;
-  /// Threads for the check loop and pool maintenance. 0 = inherit the
-  /// scenario's WorkloadOptions::num_threads; otherwise as there (1 =
-  /// serial, negative = all CPUs this process may run on). Metrics and
-  /// dispatch decisions are bitwise identical for any value (see
-  /// thread_pool.h).
+  /// Threads for the check loop and pool maintenance. 0 = the scenario's
+  /// WorkloadOptions::num_threads; otherwise 1 = serial, negative = all
+  /// CPUs this process may run on. Metrics and dispatch decisions are
+  /// bitwise identical for any value (see thread_pool.h).
   int num_threads = 0;
   /// Dispatch engine for the decision phase of each check round. Batched is
   /// the default since the paper-scale A/B (docs/PERFORMANCE.md): global
@@ -88,26 +87,25 @@ struct SimOptions {
   /// contention and are within noise otherwise. `kSerial` keeps the
   /// paper-faithful sequential loop (CLI `--dispatch=serial`).
   DispatchMode dispatch = DispatchMode::kBatched;
-  /// Chrome trace-event JSON output path. Empty = inherit the scenario's
-  /// WorkloadOptions::trace_path (the common case; this override exists for
-  /// embedders that run several platforms over one scenario). Tracing obeys
-  /// the observability contract (docs/OBSERVABILITY.md): off is a no-op,
-  /// on never changes a single metric bit.
+  /// Chrome trace-event JSON output (CLI `--trace`): when non-empty, Run()
+  /// arms the global TraceRecorder and exports the accumulated spans here
+  /// at the end. Empty disables tracing. Tracing obeys the observability
+  /// contract (docs/OBSERVABILITY.md): off is a no-op, on never changes a
+  /// single metric bit.
   std::string trace_path;
-  /// Per-round timeline output path (JSON, or CSV for `.csv` paths). Empty
-  /// = inherit WorkloadOptions::timeline_path. Same contract as trace_path.
+  /// Per-round timeline output (CLI `--timeline`): JSON, or CSV for `.csv`
+  /// paths. Empty disables sampling. Same contract as trace_path.
   std::string timeline_path;
   /// Deterministic fault-injection spec (docs/ROBUSTNESS.md grammar; CLI
-  /// `--faults`). Empty = inherit WorkloadOptions::faults. Faults-off runs
-  /// are byte-identical to a build without the robustness subsystem; a
-  /// fixed spec is bitwise deterministic across thread counts.
+  /// `--faults`). Empty disables fault injection: faults-off runs are
+  /// byte-identical to a build without the robustness subsystem; a fixed
+  /// spec is bitwise deterministic across thread counts.
   std::string faults;
   /// Per-round propose work budget, in deterministic work units (candidate
-  /// probes + planner plans — never wall-clock). When a round's pooled
-  /// orders would exceed it, the least-urgent tail in
+  /// probes + planner plans — never wall-clock; CLI `--budget`). When a
+  /// round's pooled orders would exceed it, the least-urgent tail in
   /// latest-dispatch-then-id order is shed to the next round
-  /// (docs/ROBUSTNESS.md). 0 = inherit WorkloadOptions::round_work_budget;
-  /// negative forces unlimited even when the workload sets a budget.
+  /// (docs/ROBUSTNESS.md). 0 or negative = unlimited.
   int64_t round_work_budget = 0;
 };
 
@@ -149,12 +147,12 @@ class WatterPlatform {
   /// and the work budget are off). Tests read these between/after runs.
   const FaultStats& fault_stats() const { return fault_stats_; }
 
-  /// The fault injector, or nullptr when the resolved spec is inert.
+  /// The fault injector, or nullptr when the spec is inert.
   const FaultInjector* fault_injector() const { return injector_.get(); }
 
-  /// The per-round timeline, populated only when a timeline path was
-  /// resolved (SimOptions or WorkloadOptions); nullptr otherwise. Valid for
-  /// the platform's lifetime — tests read it after Run().
+  /// The per-round timeline, populated only when SimOptions names a
+  /// timeline path; nullptr otherwise. Valid for the platform's lifetime —
+  /// tests read it after Run().
   const obs::TimelineSampler* timeline() const { return timeline_.get(); }
 
  private:
@@ -301,16 +299,12 @@ class WatterPlatform {
   std::unordered_map<WorkerId, ActiveTrip> active_trips_;
   bool track_trips_ = false;
   int brownout_depth_ = 0;  // Open brownout windows right now.
-  // Resolved per-round work budget (0 = unlimited: no budget pre-pass).
-  int64_t work_budget_ = 0;
-  // Observability (all inert unless the run resolved a trace/timeline
+  // Observability (all inert unless options_ names a trace or timeline
   // path; see docs/OBSERVABILITY.md). The sampler is allocated up front so
   // `sampling_` is one bool test on the round path; `round_sample_` is the
   // in-progress sample the decision loops stamp phase durations into, and
   // `counter_base_` holds the previous round's cumulative counters
   // (metrics.h, VisitCounters) so each sample carries per-round deltas.
-  std::string trace_path_;
-  std::string timeline_path_;
   bool sampling_ = false;
   std::unique_ptr<obs::TimelineSampler> timeline_;
   obs::RoundSample round_sample_;

@@ -1,38 +1,11 @@
 #include "src/workload/dataset_io.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 
 #include "src/common/csv.h"
 
 namespace watter {
 namespace {
-
-Result<double> ParseDouble(const std::string& field) {
-  char* end = nullptr;
-  double value = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: '" + field + "'");
-  }
-  return value;
-}
-
-// `field` as the integer type T, or InvalidArgument unless it is a whole
-// number in T's range: a static_cast is undefined for nan or 1e300 and
-// would silently truncate 2.5. The exclusive upper bound -min() is
-// 2^(bits-1), which a double holds exactly (unlike a 64-bit max()).
-template <typename T>
-Result<T> ParseInteger(const std::string& field) {
-  auto value = ParseDouble(field);
-  if (!value.ok()) return value.status();
-  constexpr double kLow = static_cast<double>(std::numeric_limits<T>::min());
-  if (!(*value >= kLow && *value < -kLow && std::trunc(*value) == *value)) {
-    return Status::InvalidArgument("not an integer in range: '" + field +
-                                   "'");
-  }
-  return static_cast<T>(*value);
-}
 
 // `field` as a time in seconds, or InvalidArgument unless it is finite and
 // not negative: a nan deadline would reach the planner's feasibility tests.

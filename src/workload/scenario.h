@@ -4,7 +4,6 @@
 #define WATTER_WORKLOAD_SCENARIO_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/result.h"
@@ -36,43 +35,23 @@ struct WorkloadOptions {
   int city_height = 32;
   double cell_seconds = 60.0;
   OracleKind oracle = OracleKind::kMatrix;
+  // The three run knobs below stay here only because
+  // benchmark/watter_bench.cc sets them; they leave with ROADMAP.md item
+  // C's benchmark-only change. Every other run knob is in SimOptions.
   /// Batch backend for CH oracles (ignored by kMatrix/kDijkstra). Bucket and
   /// per-query backends return bitwise-identical costs, so this only moves
   /// runtime, never metrics.
   GeoBackend geo = GeoBackend::kBucket;
-  /// Threads the platform's check loop and pool maintenance run on when
-  /// simulating this scenario (results are thread-count-independent).
-  /// 1 = serial; 0 = use all CPUs this process may run on. SimOptions can
-  /// override.
+  /// Threads the platform runs on unless SimOptions::num_threads is set:
+  /// 1 = serial; 0 or negative = all CPUs this process may run on. Results
+  /// are thread-count-independent.
   int num_threads = 1;
-  /// Unused; benchmark/watter_bench.cc still sets it (see ROADMAP.md).
+  /// Unused.
   int num_shards = 1;
   uint64_t seed = 42;
   /// Road-network seed; 0 derives it from `seed`. Fix it to share one city
   /// across several demand "days" (e.g. RL training vs evaluation runs).
   uint64_t city_seed = 0;
-  /// Chrome trace-event JSON output (CLI `--trace`): when non-empty, the
-  /// platform arms the global TraceRecorder for this run and exports the
-  /// accumulated spans here at the end (docs/OBSERVABILITY.md). Empty
-  /// disables tracing entirely. Purely observational: metrics are bitwise
-  /// identical either way. SimOptions can override.
-  std::string trace_path;
-  /// Per-round timeline output (CLI `--timeline`): one RoundSample per
-  /// check round, written here as JSON (or CSV when the path ends in
-  /// `.csv`). Same no-perturbation contract as trace_path. SimOptions can
-  /// override.
-  std::string timeline_path;
-  /// Deterministic fault-injection spec (CLI `--faults`;
-  /// docs/ROBUSTNESS.md grammar, e.g. "dropouts=5;brownouts=2;seed=7").
-  /// Empty disables fault injection entirely — the platform then runs
-  /// byte-for-byte as before the robustness subsystem existed. SimOptions
-  /// can override.
-  std::string faults;
-  /// Per-round propose work budget in deterministic work units (candidate
-  /// probes + planner plans; CLI `--budget`). When a round's pooled orders
-  /// would exceed it, the least-urgent tail (latest-dispatch-then-id order)
-  /// is shed to the next round. 0 = unlimited. SimOptions can override.
-  int64_t round_work_budget = 0;
 };
 
 /// A ready-to-run simulation input. The city is heap-pinned so oracles that

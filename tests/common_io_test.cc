@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "src/common/csv.h"
@@ -75,6 +77,36 @@ TEST(CsvTest, ReadMissingFileFails) {
   auto loaded = ReadCsv("/nonexistent/definitely/missing.csv");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+TEST(CsvTest, ParseIntegerHoldsEachTypesWholeRange) {
+  // Plain decimals convert exactly, past double's 53 bits too; other
+  // numbers must be whole and inside [min(), max()].
+  EXPECT_EQ(ParseInteger<uint64_t>("18446744073709551615").value_or(0),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(ParseInteger<uint64_t>("9007199254740993").value_or(0),
+            9007199254740993u);
+  EXPECT_EQ(ParseInteger<uint64_t>("1e3").value_or(0), 1000u);
+  EXPECT_EQ(ParseInteger<int64_t>("9223372036854775807").value_or(0),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseInteger<int>("-2147483648").value_or(0),
+            std::numeric_limits<int>::min());
+  EXPECT_EQ(ParseInteger<int>("2147483647").value_or(0), 2147483647);
+  EXPECT_EQ(ParseInteger<int>("5.0").value_or(0), 5);
+  for (const char* bad : {"18446744073709551616", "-1",
+                          "1.8446744073709552e19", "2.5", "60x", "", "nan"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(ParseInteger<uint64_t>(bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const char* bad : {"2147483648", "-2147483649", "1e300", "abc"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(ParseInteger<int>(bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ParseDouble("1.6").value_or(0.0), 1.6);
+  EXPECT_EQ(ParseDouble("1.6abc").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TableTest, AlignsColumns) {

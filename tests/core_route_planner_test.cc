@@ -142,12 +142,14 @@ TEST_F(RoutePlannerExample1Test, DeadlineForcesWorseButFeasibleRoute) {
   EXPECT_FALSE(planner_.PlanBest({&o2}, depart, 4).ok());
 }
 
-TEST_F(RoutePlannerExample1Test, PairShareableHelper) {
-  EXPECT_TRUE(
-      planner_.PairShareable(orders_[1], orders_[3], 12.0, 4));
+TEST_F(RoutePlannerExample1Test, PairWithAnExpiredMemberIsInfeasible) {
+  EXPECT_TRUE(planner_.PlanBest({&orders_[1], &orders_[3]}, 12.0, 4).ok());
   Order hopeless = orders_[1];
   hopeless.deadline = hopeless.release;  // Expired immediately.
-  EXPECT_FALSE(planner_.PairShareable(hopeless, orders_[3], 12.0, 4));
+  EXPECT_EQ(planner_.PlanBest({&hopeless, &orders_[3]}, 12.0, 4)
+                .status()
+                .code(),
+            StatusCode::kInfeasible);
 }
 
 TEST_F(RoutePlannerExample1Test, RejectsEmptyAndOversizedGroups) {

@@ -86,7 +86,8 @@ TEST(FaultInjectionTest, MalformedSpecsAreInvalidArgument) {
                           "downtime=-5", "grace=-1",
                           "seed=-1",     // Would wrap to 2^64 - 1.
                           "seed=+7",     // No sign either way.
-                          "seed=99999999999999999999999"}) {  // Overflow.
+                          "seed=99999999999999999999999",  // Overflow.
+                          "dropouts=3;dropouts=4"}) {  // Repeated key.
     auto spec = ParseFaultSpec(bad);
     EXPECT_FALSE(spec.ok()) << "accepted: " << bad;
     if (!spec.ok()) {
@@ -235,8 +236,6 @@ RunOutcome RunFaulted(uint64_t seed, const std::string& faults,
   workload.city_height = 16;
   workload.duration = 3600.0;
   workload.seed = seed;
-  workload.faults = faults;
-  workload.round_work_budget = budget;
   auto scenario = GenerateScenario(workload);
   EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
   if (!scenario.ok()) return {};
@@ -245,6 +244,8 @@ RunOutcome RunFaulted(uint64_t seed, const std::string& faults,
   options.num_threads = threads;
   options.dispatch = dispatch;
   options.cancellation_hazard = hazard;
+  options.faults = faults;
+  options.round_work_budget = budget;
   WatterPlatform platform(&*scenario, &provider, options);
   RunOutcome outcome;
   outcome.generated = scenario->orders.size();

@@ -69,7 +69,6 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
   WorkloadOptions workload = DeterminismWorkload(seed);
   workload.oracle = oracle;
   workload.geo = geo;
-  workload.round_work_budget = budget;
   auto scenario = GenerateScenario(workload);
   EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
   if (!scenario.ok()) return {};
@@ -80,6 +79,7 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
   options.cancellation_hazard = cancellation_hazard;
   options.dispatch = dispatch;
   options.faults = faults;
+  options.round_work_budget = budget;
   std::string trace_path, timeline_path;
   if (traced) {
     trace_path = ::testing::TempDir() + "/determinism_trace.json";

@@ -1,7 +1,9 @@
 # Each watter_cli subcommand exits 2 with a usage error on a flag it does not
 # read instead of ignoring it: another subcommand's flag, or in generate a
-# platform flag. Every case below stops while parsing, before any scenario
-# is generated or file written.
+# platform flag. A numeric flag does the same unless its whole value is a
+# finite number: a whole one in range for counts and seeds, and not
+# negative for --threads and --budget. Every case below stops while
+# parsing, before any scenario is generated or file written.
 #
 #   cmake -DCLI=<watter_cli> -P check_cli_flags.cmake
 if(NOT DEFINED CLI)
@@ -24,7 +26,19 @@ set(cases
   "generate|--out|.|--faults|dropouts=2=generate does not read --faults"
   "generate|--out|.|--budget|5=generate does not read --budget"
   "generate|--out|.|--trace|t.json=generate does not read --trace"
-  "generate|--out|.|--timeline|t.json=generate does not read --timeline")
+  "generate|--out|.|--timeline|t.json=generate does not read --timeline"
+  "run|--threads|abc=--threads: not a number: 'abc'"
+  "run|--threads|-1=--threads must be at least 0, not -1"
+  "run|--orders|60x=--orders: not a number: '60x'"
+  "run|--orders|1e300=--orders: not an integer in range: '1e300'"
+  "run|--workers|2.5=--workers: not an integer in range: '2.5'"
+  "run|--budget|nope=--budget: not a number: 'nope'"
+  "run|--budget|-7=--budget must be at least 0, not -7"
+  "run|--tau|1.6abc=--tau: not a number: '1.6abc'"
+  "run|--eta|nan=--eta: not a finite number: 'nan'"
+  "run|--duration|2h=--duration: not a number: '2h'"
+  "run|--seed|-1=--seed: not an integer in range: '-1'"
+  "run|--city-seed|18446744073709551616=--city-seed: not an integer in range")
 foreach(case IN LISTS cases)
   string(FIND "${case}" "=" split REVERSE)
   string(SUBSTRING "${case}" 0 ${split} args)
@@ -42,4 +56,5 @@ foreach(case IN LISTS cases)
   endif()
 endforeach()
 list(LENGTH cases count)
-message(STATUS "${count} unread-flag cases exit 2 with a usage error")
+message(STATUS "${count} unread-flag and malformed-number cases exit 2 "
+               "with a usage error")

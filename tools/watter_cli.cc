@@ -9,8 +9,7 @@
 //       NAME in {online, timeout, gdp, gas, nonsharing, gmm}.
 //   watter train --model FILE [workload flags]
 //       Train a WATTER-expect model offline and save it. The training days
-//       run on the trainer's own platform options, so train takes no
-//       --dispatch.
+//       run the default dispatch engine, so train takes no --dispatch.
 //   watter evaluate --model FILE [--dispatch MODE] [--metrics-json FILE]
 //                   [workload flags]
 //       Load a trained model and evaluate it on a fresh day.
@@ -24,7 +23,9 @@
 //   --tau X [1.6]  --eta X [0.8]  --capacity K [4]    --seed S [42]
 //   --city-seed S [derived]       --duration HOURS [2]
 //   Every dataset, nyc and xia included, runs on the all-pairs matrix
-//   travel-time oracle.
+//   travel-time oracle. A numeric flag exits 2 with a usage error unless
+//   its whole value is a finite number: a whole one in range for counts
+//   and seeds, and not negative for --threads and --budget.
 //
 // Platform flags (run, train and evaluate):
 //   --threads T [1; 0 = all CPUs this process may run on] — parallelism of
@@ -57,15 +58,19 @@
 //   --timeline FILE — per-round timeline (pool size, shareability edges,
 //   offers/conflicts, phase durations, counter deltas) as
 //   JSON, or CSV when FILE ends in ".csv".
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/baseline/gas.h"
 #include "src/baseline/gdp.h"
 #include "src/baseline/nonsharing.h"
+#include "src/common/csv.h"
 #include "src/common/table.h"
 #include "src/rl/model_io.h"
 #include "src/rl/trainer.h"
@@ -115,6 +120,31 @@ struct CliArgs {
   std::exit(2);
 }
 
+// The value of the numeric flag `flag`, or a usage error naming the flag
+// unless all of `text` is a finite number of type T (ParseInteger for
+// integer types) and at least `min`.
+template <typename T>
+T NumericFlag(const char* flag, const std::string& text,
+              T min = std::numeric_limits<T>::lowest()) {
+  Result<T> value = [&text]() -> Result<T> {
+    if constexpr (std::is_integral_v<T>) {
+      return ParseInteger<T>(text);
+    } else {
+      Result<T> number = ParseDouble(text);
+      if (number.ok() && !std::isfinite(*number)) {
+        return Status::InvalidArgument("not a finite number: '" + text + "'");
+      }
+      return number;
+    }
+  }();
+  if (!value.ok()) Usage((flag + (": " + value.status().message())).c_str());
+  if (*value < min) {
+    Usage((flag + (" must be at least " + std::to_string(min) + ", not " +
+                   text)).c_str());
+  }
+  return *value;
+}
+
 // Whether `command` reads the subcommand-specific `flag`.
 bool CommandReads(const std::string& command, const std::string& flag) {
   if (flag == "--out") return command == "generate";
@@ -159,26 +189,32 @@ CliArgs Parse(int argc, char** argv) {
         Usage("unknown dataset");
       }
     } else if (std::strcmp(argv[i], "--orders") == 0) {
-      args.workload.num_orders = std::atoi(need_value("--orders"));
+      args.workload.num_orders =
+          NumericFlag<int>("--orders", need_value("--orders"));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      args.workload.num_workers = std::atoi(need_value("--workers"));
+      args.workload.num_workers =
+          NumericFlag<int>("--workers", need_value("--workers"));
     } else if (std::strcmp(argv[i], "--tau") == 0) {
-      args.workload.tau = std::atof(need_value("--tau"));
+      args.workload.tau = NumericFlag<double>("--tau", need_value("--tau"));
     } else if (std::strcmp(argv[i], "--eta") == 0) {
-      args.workload.eta = std::atof(need_value("--eta"));
+      args.workload.eta = NumericFlag<double>("--eta", need_value("--eta"));
     } else if (std::strcmp(argv[i], "--capacity") == 0) {
-      args.workload.max_capacity = std::atoi(need_value("--capacity"));
+      args.workload.max_capacity =
+          NumericFlag<int>("--capacity", need_value("--capacity"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       args.workload.seed =
-          static_cast<uint64_t>(std::atoll(need_value("--seed")));
+          NumericFlag<uint64_t>("--seed", need_value("--seed"));
     } else if (std::strcmp(argv[i], "--city-seed") == 0) {
       args.workload.city_seed =
-          static_cast<uint64_t>(std::atoll(need_value("--city-seed")));
+          NumericFlag<uint64_t>("--city-seed", need_value("--city-seed"));
     } else if (std::strcmp(argv[i], "--duration") == 0) {
-      args.workload.duration = std::atof(need_value("--duration")) * 3600.0;
+      args.workload.duration =
+          NumericFlag<double>("--duration", need_value("--duration")) *
+          3600.0;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       args.command_flags.push_back(argv[i]);
-      args.workload.num_threads = std::atoi(need_value("--threads"));
+      args.workload.num_threads =
+          NumericFlag<int>("--threads", need_value("--threads"), 0);
     } else if (std::strcmp(argv[i], "--dispatch") == 0) {
       args.command_flags.push_back(argv[i]);
       std::string mode = need_value("--dispatch");
@@ -205,16 +241,17 @@ CliArgs Parse(int argc, char** argv) {
       if (!parsed.ok()) {
         Usage(("--faults: " + parsed.status().ToString()).c_str());
       }
-      args.workload.faults = spec;
+      args.sim.faults = spec;
     } else if (std::strcmp(argv[i], "--budget") == 0) {
       args.command_flags.push_back(argv[i]);
-      args.workload.round_work_budget = std::atoll(need_value("--budget"));
+      args.sim.round_work_budget =
+          NumericFlag<int64_t>("--budget", need_value("--budget"), 0);
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       args.command_flags.push_back(argv[i]);
-      args.workload.trace_path = need_value("--trace");
+      args.sim.trace_path = need_value("--trace");
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
       args.command_flags.push_back(argv[i]);
-      args.workload.timeline_path = need_value("--timeline");
+      args.sim.timeline_path = need_value("--timeline");
     } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
       args.command_flags.push_back(argv[i]);
       args.metrics_json_path = need_value("--metrics-json");
@@ -322,13 +359,14 @@ int Run(const CliArgs& args) {
     // Bootstrap a same-shaped training day, fit, then run.
     WorkloadOptions boot = args.workload;
     boot.seed = args.workload.seed * 31 + 7;
-    // Observe the evaluation run only, not the bootstrap day.
-    boot.trace_path.clear();
-    boot.timeline_path.clear();
     auto boot_scenario = GenerateScenario(boot);
     if (!boot_scenario.ok()) return 1;
+    // Observe the evaluation run only, not the bootstrap day.
+    SimOptions boot_sim = args.sim;
+    boot_sim.trace_path.clear();
+    boot_sim.timeline_path.clear();
     TimeoutThresholdProvider timeout;
-    WatterPlatform bootstrap(&*boot_scenario, &timeout, args.sim);
+    WatterPlatform bootstrap(&*boot_scenario, &timeout, boot_sim);
     (void)bootstrap.Run();
     auto mixture = FitGmm(bootstrap.metrics().served_extra_times(),
                           {.num_components = 3, .seed = 11});
@@ -351,7 +389,10 @@ int Train(const CliArgs& args) {
   if (args.model_path.empty()) Usage("train needs --model FILE");
   std::printf("training WATTER-expect on %s-shaped workloads...\n",
               DatasetName(args.workload.dataset));
-  auto model = TrainExpectModel(args.workload);
+  // The training days run with the platform flags, as run and evaluate do.
+  ExpectTrainOptions train;
+  train.sim = args.sim;
+  auto model = TrainExpectModel(args.workload, train);
   if (!model.ok()) {
     std::fprintf(stderr, "training failed: %s\n",
                  model.status().ToString().c_str());
