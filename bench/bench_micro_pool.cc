@@ -177,7 +177,7 @@ void BM_ValueNetworkForward(benchmark::State& state) {
   Featurizer featurizer(&fx.city.graph, 10);
   Mlp network({featurizer.feature_size(), 64, 32, 1}, 1);
   std::vector<int> counts(100, 2);
-  auto env = featurizer.MakeSnapshot(counts, counts, counts);
+  auto env = featurizer.MakeSnapshot({&counts, &counts, &counts});
   CompactState compact = featurizer.MakeState(fx.orders[0], 100.0, env);
   std::vector<float> features;
   featurizer.Write(compact, &features);

@@ -26,6 +26,7 @@
 #include "src/baseline/gdp.h"
 #include "src/common/csv.h"
 #include "src/common/table.h"
+#include "src/common/thread_pool.h"
 #include "src/rl/trainer.h"
 #include "src/sim/platform.h"
 #include "src/strategy/threshold_provider.h"
@@ -105,9 +106,11 @@ inline bool QuickMode(int argc, char** argv) {
 }
 
 /// Threads the simulated platforms run on: `--threads T` (0 = all CPUs
-/// this process may run on; default 1 = serial). Exits 2 unless T is a
-/// whole number of at least 0. Metrics are thread-count-independent, so
-/// sweeps stay comparable.
+/// this process may run on, resolved here through
+/// ThreadPool::DefaultThreads() so the `--json` records name the count
+/// the runs used; default 1 = serial). Exits 2 unless T is a whole number
+/// of at least 0. Metrics are thread-count-independent, so sweeps stay
+/// comparable.
 inline int BenchThreads(int argc, char** argv) {
   const std::vector<const char*> values =
       FlagValues(argc, argv, "--threads", "T");
@@ -118,7 +121,7 @@ inline int BenchThreads(int argc, char** argv) {
                  argv[0], values.front());
     std::exit(2);
   }
-  return *threads;
+  return *threads == 0 ? ThreadPool::DefaultThreads() : *threads;
 }
 
 inline const char* DispatchName(DispatchMode mode) {

@@ -75,33 +75,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
-double Rng::Exponential(double rate) {
-  assert(rate > 0.0);
-  double u;
-  do {
-    u = Uniform();
-  } while (u <= 1e-300);
-  return -std::log(u) / rate;
-}
-
-int Rng::Poisson(double mean) {
-  assert(mean >= 0.0);
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    // Normal approximation with continuity correction.
-    double draw = Normal(mean, std::sqrt(mean));
-    return draw < 0.0 ? 0 : static_cast<int>(draw + 0.5);
-  }
-  double threshold = std::exp(-mean);
-  double product = 1.0;
-  int count = -1;
-  do {
-    ++count;
-    product *= Uniform();
-  } while (product > threshold);
-  return count;
-}
-
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 int Rng::SampleIndex(const std::vector<double>& weights) {

@@ -6,9 +6,7 @@
 #ifndef WATTER_COMMON_RNG_H_
 #define WATTER_COMMON_RNG_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace watter {
@@ -37,28 +35,12 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Exponential with the given rate (mean 1/rate). Requires rate > 0.
-  double Exponential(double rate);
-
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64).
-  int Poisson(double mean);
-
   /// Bernoulli trial with success probability p.
   bool Bernoulli(double p);
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
   int SampleIndex(const std::vector<double>& weights);
-
-  /// Fisher-Yates shuffles `items` in place.
-  template <typename T>
-  void Shuffle(std::vector<T>* items) {
-    for (size_t i = items->size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
-      std::swap((*items)[i - 1], (*items)[j]);
-    }
-  }
 
   /// Derives an independent child generator; useful for giving each
   /// simulation component its own stream.

@@ -22,8 +22,6 @@ const char* StatusCodeName(StatusCode code) {
       return "IoError";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }

@@ -26,7 +26,6 @@ enum class StatusCode {
   kInfeasible = 6,  ///< A planning request has no feasible solution.
   kIoError = 7,
   kInternal = 8,
-  kDeadlineExceeded = 9,  ///< A bounded wait ran out of time.
 };
 
 /// Returns a short human-readable name for a status code ("Ok", "NotFound"...).
@@ -72,9 +71,6 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

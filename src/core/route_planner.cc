@@ -2,30 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <string>
-
-#include "src/obs/histogram_registry.h"
 
 namespace watter {
 namespace {
-
-// Feeds the "planner.plan_s" latency histogram when the registry is armed;
-// disarmed it is a single relaxed load (PlanBest is too hot for more).
-struct PlanLatencyScope {
-  bool armed = obs::HistogramRegistry::enabled();
-  std::chrono::steady_clock::time_point start;
-  PlanLatencyScope() {
-    if (armed) start = std::chrono::steady_clock::now();
-  }
-  ~PlanLatencyScope() {
-    if (!armed) return;
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    obs::RecordLatency("planner.plan_s", seconds, /*hi_seconds=*/0.01);
-  }
-};
 
 // State encoding: (picked mask, dropped mask, last stop index). Stop index
 // s in [0, k) is pickup of order s; s in [k, 2k) is drop-off of order s - k.
@@ -45,7 +25,6 @@ inline int StateIndex(int picked, int dropped, int last, int k) {
 Result<GroupPlan> RoutePlanner::PlanBest(
     const std::vector<const Order*>& orders, Time depart_time, int capacity) {
   plan_count_.Add(1);
-  PlanLatencyScope latency_scope;
   const int k = static_cast<int>(orders.size());
   if (k == 0) return Status::InvalidArgument("cannot plan an empty group");
   if (k > kMaxGroupSize) {

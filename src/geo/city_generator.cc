@@ -105,8 +105,6 @@ Result<std::unique_ptr<TravelTimeOracle>> BuildOracle(const Graph& graph,
       return std::unique_ptr<TravelTimeOracle>(
           new ChOracle(std::move(shared)));
     }
-    case OracleKind::kDijkstra:
-      return std::unique_ptr<TravelTimeOracle>(new DijkstraOracle(&graph));
   }
   return Status::InvalidArgument("unknown oracle kind");
 }

@@ -58,22 +58,21 @@ Result<City> GenerateCity(const CityOptions& options);
 
 /// Which shortest-path backend an oracle should use.
 enum class OracleKind {
-  kMatrix,    ///< Precomputed all-pairs matrix (fastest queries).
-  kCh,        ///< Contraction hierarchy with memoization.
-  kDijkstra,  ///< On-demand Dijkstra rows with an LRU (no preprocessing).
+  kMatrix,  ///< Precomputed all-pairs matrix (fastest queries).
+  kCh,      ///< Contraction hierarchy with memoization.
 };
 
 /// How CH-backed oracles answer batch queries. Only meaningful for
-/// OracleKind::kCh: the matrix oracle is O(1) per query and the Dijkstra
-/// oracle's row cache is already batch-shaped, so both ignore this.
+/// OracleKind::kCh: the matrix oracle is O(1) per query and ignores this.
 enum class GeoBackend {
   kPerQuery,  ///< ChOracle: every batch slot is an independent point query.
   kBucket,    ///< BucketChOracle: bucket-CH batch queries (bitwise-equal
               ///< results; default since the equivalence suite pins them).
 };
 
-/// Builds a travel-time oracle over `graph`. The graph must outlive the
-/// oracle for kDijkstra; matrix/CH oracles own their backing structure.
+/// Builds a travel-time oracle over `graph`. The oracle owns its backing
+/// structure, so the graph need not outlive it. A DijkstraOracle
+/// (travel_time_oracle.h), which borrows its graph, is built directly.
 Result<std::unique_ptr<TravelTimeOracle>> BuildOracle(
     const Graph& graph, OracleKind kind,
     GeoBackend backend = GeoBackend::kBucket);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/obs/histogram_registry.h"
-
 namespace watter {
 namespace obs {
 
@@ -91,21 +89,7 @@ bool TimelineSampler::WriteJson(const std::string& path) const {
   }
   std::fprintf(f, "\n],\n\"totals\": ");
   PrintSampleJson(f, counter_names_, Totals());
-  // When the latency registry ran alongside the timeline, fold its
-  // summaries into the same file so one artifact tells the whole story.
-  std::fprintf(f, ",\n\"histograms\": [");
-  bool first = true;
-  for (const HistogramSnapshot& snap : HistogramRegistry::Global().Snapshots()) {
-    if (!first) std::fprintf(f, ",\n");
-    first = false;
-    std::fprintf(f,
-                 "{\"name\": \"%s\", \"count\": %lld, \"mean\": %.9g, "
-                 "\"min\": %.9g, \"max\": %.9g, \"p50\": %.9g, "
-                 "\"p90\": %.9g, \"p99\": %.9g}",
-                 snap.name.c_str(), static_cast<long long>(snap.count),
-                 snap.mean, snap.min, snap.max, snap.p50, snap.p90, snap.p99);
-  }
-  std::fprintf(f, "]}\n");
+  std::fprintf(f, "}\n");
   std::fclose(f);
   return true;
 }

@@ -9,9 +9,8 @@
 // paper-scale profiles where a full trace would be gigabytes.
 //
 // The counter columns are named by the platform at construction (metrics.h,
-// VisitCounters), so obs stays below core in the module DAG — core links
-// obs for the plan-latency histogram, so obs including core headers would
-// be a cycle.
+// VisitCounters), so obs needs no core header and sits below every module
+// that samples or traces.
 #ifndef WATTER_OBS_TIMELINE_H_
 #define WATTER_OBS_TIMELINE_H_
 

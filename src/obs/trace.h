@@ -5,7 +5,9 @@
 //
 //  - *Off is free.* Tracing is compiled in everywhere but disabled by
 //    default; a disarmed WATTER_TRACE_SPAN costs one relaxed atomic load and
-//    a predictable branch. No clock is read, no memory is touched.
+//    a predictable branch. No clock is read, no memory is touched — unless
+//    the site passes a seconds slot, as the platform's round phases do
+//    while the timeline samples them.
 //  - *On never perturbs results.* Spans only read the steady clock and
 //    append to a thread-local buffer; they never branch the traced code.
 //    Every metric field is bitwise identical with and without tracing
@@ -18,10 +20,10 @@
 //
 // Synchronization: appends are unsynchronized by design. Export/Snapshot
 // must therefore be quiescent — called only when every traced thread has
-// either exited or synchronized with the exporting thread (thread join,
-// ThreadPool's job handshake, CommitPipeline::Drain all establish the
-// needed happens-before). The platform exports at the end of Run(), after
-// its pools have drained; tests export after joining their threads.
+// either exited or synchronized with the exporting thread (a thread join
+// and ThreadPool's job handshake both establish the needed
+// happens-before). The platform exports at the end of Run(), after its
+// pools have drained; tests export after joining their threads.
 //
 // This header is deliberately self-contained (std only, fully inline) so
 // low-level modules — the common ThreadPool, the geo oracles — can emit
@@ -67,15 +69,9 @@ class TraceRecorder {
     return *recorder;
   }
 
-  /// Arms span collection. Idempotent; the first call pins the timestamp
-  /// epoch. Reads WATTER_TRACE_HOT_MIN_US (microseconds) if set.
-  void Enable() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const char* env = std::getenv("WATTER_TRACE_HOT_MIN_US")) {
-      hot_min_us_.store(std::atof(env), std::memory_order_relaxed);
-    }
-    enabled_.store(true, std::memory_order_relaxed);
-  }
+  /// Arms span collection. Idempotent; leaves the hot-span floor as
+  /// set_hot_min_us() last set it.
+  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
 
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
 
@@ -242,22 +238,33 @@ class TraceRecorder {
 };
 
 /// RAII span: records [construction, destruction) on the calling thread's
-/// track when tracing is armed. `name` must be a string literal.
+/// track when tracing is armed, and adds the same interval, in seconds, to
+/// `*seconds` whenever `seconds` is not null, armed or not. So one span
+/// both names and times a phase. With tracing off and no `seconds` it
+/// reads no clock. `name` must be a string literal.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name) {
-    if (!TraceRecorder::enabled()) return;
-    name_ = name;
-    start_ = std::chrono::steady_clock::now();
+  explicit ScopedSpan(const char* name, double* seconds = nullptr)
+      : seconds_(seconds) {
+    if (TraceRecorder::enabled()) name_ = name;
+    if (name_ != nullptr || seconds_ != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
   }
 
   ~ScopedSpan() {
-    if (name_ == nullptr) return;
-    TraceRecorder& recorder = TraceRecorder::Global();
-    double dur_us = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    recorder.EmitSpan(name_, recorder.MicrosSinceEpoch(start_), dur_us);
+    if (name_ == nullptr && seconds_ == nullptr) return;
+    const std::chrono::steady_clock::duration elapsed =
+        std::chrono::steady_clock::now() - start_;
+    if (seconds_ != nullptr) {
+      *seconds_ += std::chrono::duration<double>(elapsed).count();
+    }
+    if (name_ != nullptr) {
+      TraceRecorder& recorder = TraceRecorder::Global();
+      recorder.EmitSpan(
+          name_, recorder.MicrosSinceEpoch(start_),
+          std::chrono::duration<double, std::micro>(elapsed).count());
+    }
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -265,6 +272,7 @@ class ScopedSpan {
 
  private:
   const char* name_ = nullptr;
+  double* seconds_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -304,10 +312,12 @@ class ScopedHotSpan {
 #define WATTER_TRACE_CONCAT_INNER(a, b) a##b
 #define WATTER_TRACE_CONCAT(a, b) WATTER_TRACE_CONCAT_INNER(a, b)
 
-/// Traces the enclosing scope as a span named `name` (a string literal).
-#define WATTER_TRACE_SPAN(name)                                     \
+/// Traces the enclosing scope as a span named by the first argument (a
+/// string literal). An optional second argument, a `double*`, receives the
+/// scope's seconds whether or not tracing is armed (ScopedSpan).
+#define WATTER_TRACE_SPAN(...)                                      \
   ::watter::obs::ScopedSpan WATTER_TRACE_CONCAT(watter_trace_span_, \
-                                                __LINE__)(name)
+                                                __LINE__)(__VA_ARGS__)
 
 /// WATTER_TRACE_SPAN for hot call sites (per-batch, per-job): spans under
 /// the recorder's duration floor are dropped and counted.

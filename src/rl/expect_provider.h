@@ -33,7 +33,7 @@ class ExpectThresholdProvider : public ThresholdProvider {
     if (penalty <= 0.0) return 0.0;
     const bool new_round = cached_snapshot_ == nullptr || cached_at_ != now;
     if (new_round) {
-      cached_snapshot_ = MakeSnapshot(context);
+      cached_snapshot_ = featurizer_->MakeSnapshot(context);
       cached_at_ = now;
     }
     CompactState state = featurizer_->MakeState(order, now, cached_snapshot_);
@@ -48,15 +48,6 @@ class ExpectThresholdProvider : public ThresholdProvider {
   const char* name() const override { return "WATTER-expect"; }
 
  private:
-  std::shared_ptr<const EnvSnapshot> MakeSnapshot(
-      const PoolContext& context) const {
-    static const std::vector<int> kEmpty;
-    return featurizer_->MakeSnapshot(
-        context.demand_pickup != nullptr ? *context.demand_pickup : kEmpty,
-        context.demand_dropoff != nullptr ? *context.demand_dropoff : kEmpty,
-        context.supply != nullptr ? *context.supply : kEmpty);
-  }
-
   const Featurizer* featurizer_;
   const Mlp* value_;
   std::shared_ptr<const EnvSnapshot> cached_snapshot_;

@@ -8,8 +8,11 @@ namespace {
 
 constexpr double kSecondsPerDay = 86400.0;
 
-void AppendDistribution(const std::vector<int>& counts, int cells,
+void AppendDistribution(const std::vector<int>* maybe_counts, int cells,
                         std::vector<float>* out, float* total_out) {
+  static const std::vector<int> kNone;
+  const std::vector<int>& counts =
+      maybe_counts != nullptr ? *maybe_counts : kNone;
   double total = 0.0;
   for (int c : counts) total += c;
   *total_out = static_cast<float>(total);
@@ -29,16 +32,16 @@ Featurizer::Featurizer(const Graph* graph, int grid_cells, double time_slot,
       waited_cap_slots_(waited_cap_slots) {}
 
 std::shared_ptr<const EnvSnapshot> Featurizer::MakeSnapshot(
-    const std::vector<int>& demand_pickup,
-    const std::vector<int>& demand_dropoff,
-    const std::vector<int>& supply) const {
+    const PoolContext& context) const {
   auto snapshot = std::make_shared<EnvSnapshot>();
   snapshot->distributions.reserve(3 * cell_count());
-  AppendDistribution(demand_pickup, cell_count(), &snapshot->distributions,
+  AppendDistribution(context.demand_pickup, cell_count(),
+                     &snapshot->distributions,
                      &snapshot->demand_pickup_total);
-  AppendDistribution(demand_dropoff, cell_count(), &snapshot->distributions,
+  AppendDistribution(context.demand_dropoff, cell_count(),
+                     &snapshot->distributions,
                      &snapshot->demand_dropoff_total);
-  AppendDistribution(supply, cell_count(), &snapshot->distributions,
+  AppendDistribution(context.supply, cell_count(), &snapshot->distributions,
                      &snapshot->supply_total);
   return snapshot;
 }

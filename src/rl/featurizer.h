@@ -19,6 +19,7 @@
 #include "src/core/types.h"
 #include "src/geo/graph.h"
 #include "src/geo/grid_index.h"
+#include "src/strategy/threshold_provider.h"
 
 namespace watter {
 
@@ -60,11 +61,10 @@ class Featurizer {
   /// shares them.
   int env_offset() const { return 2 * cell_count() + 2; }
 
-  /// Normalizes raw per-cell counts into a shareable snapshot.
+  /// Normalizes the context's per-cell counts into a shareable snapshot.
+  /// A null count vector reads as all zero.
   std::shared_ptr<const EnvSnapshot> MakeSnapshot(
-      const std::vector<int>& demand_pickup,
-      const std::vector<int>& demand_dropoff,
-      const std::vector<int>& supply) const;
+      const PoolContext& context) const;
 
   /// Builds the compact state of `order` at `now` within `env`.
   CompactState MakeState(const Order& order, Time now,

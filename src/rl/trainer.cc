@@ -8,17 +8,10 @@ namespace watter {
 
 std::shared_ptr<const EnvSnapshot> ExperienceCollector::SnapshotFor(
     const DecisionObservation& observation) {
-  if (cached_snapshot_ != nullptr && cached_at_ == observation.now) {
-    return cached_snapshot_;
+  if (cached_snapshot_ == nullptr || cached_at_ != observation.now) {
+    cached_snapshot_ = featurizer_->MakeSnapshot(observation.context);
+    cached_at_ = observation.now;
   }
-  static const std::vector<int> kEmpty;
-  cached_snapshot_ = featurizer_->MakeSnapshot(
-      observation.demand_pickup != nullptr ? *observation.demand_pickup
-                                           : kEmpty,
-      observation.demand_dropoff != nullptr ? *observation.demand_dropoff
-                                            : kEmpty,
-      observation.supply != nullptr ? *observation.supply : kEmpty);
-  cached_at_ = observation.now;
   return cached_snapshot_;
 }
 
@@ -27,73 +20,45 @@ void ExperienceCollector::OnObservation(
   const Order& order = *observation.order_ref;
   CompactState state = featurizer_->MakeState(order, observation.now,
                                               SnapshotFor(observation));
-  double penalty = order.Penalty();
-  double theta_star = thetas_->ThresholdFor(penalty);
-
-  auto pending_it = pending_.find(observation.order);
-  if (observation.action == 1) {
-    // Wait transition into the dispatch state, then the terminal dispatch
-    // reward p - t_d (Bellman update for a = 1).
-    if (pending_it != pending_.end()) {
-      Experience wait;
-      wait.state = pending_it->second.state;
-      wait.action = 0;
-      wait.elapsed = observation.now - pending_it->second.time;
-      wait.reward = -wait.elapsed;
-      wait.terminal = false;
-      wait.next_state = state;
-      wait.penalty = penalty;
-      wait.theta_star = theta_star;
-      replay_->Add(std::move(wait));
-      ++transitions_;
-      pending_.erase(pending_it);
-    }
-    Experience dispatch;
-    dispatch.state = state;
-    dispatch.action = 1;
-    dispatch.reward = penalty - observation.detour;
-    dispatch.terminal = true;
-    dispatch.penalty = penalty;
-    dispatch.theta_star = theta_star;
-    replay_->Add(std::move(dispatch));
+  const double penalty = order.Penalty();
+  const double theta_star = thetas_->ThresholdFor(penalty);
+  auto add = [&](Experience experience) {
+    experience.penalty = penalty;
+    experience.theta_star = theta_star;
+    replay_->Add(std::move(experience));
     ++transitions_;
-    return;
-  }
-  if (observation.expired) {
-    // Expiry: the pending wait becomes terminal with no future value
-    // (I(expired) = 1 in the Bellman update).
-    if (pending_it != pending_.end()) {
-      Experience wait;
-      wait.state = pending_it->second.state;
-      wait.action = 0;
-      wait.elapsed = observation.now - pending_it->second.time;
-      wait.reward = -wait.elapsed;
-      wait.terminal = true;
-      wait.penalty = penalty;
-      wait.theta_star = theta_star;
-      replay_->Add(std::move(wait));
-      ++transitions_;
-      pending_.erase(pending_it);
-    }
-    return;
-  }
-  // Plain wait: link from the previous decision state if any, then wait on.
+  };
+  const bool dispatched = observation.action == 1;
+
+  // The wait from the order's previous decision state into this one. On
+  // expiry it is terminal with no future value (I(expired) = 1 in the
+  // Bellman update); on dispatch and on a plain wait it leads here.
+  auto pending_it = pending_.find(observation.order);
   if (pending_it != pending_.end()) {
     Experience wait;
     wait.state = pending_it->second.state;
     wait.action = 0;
     wait.elapsed = observation.now - pending_it->second.time;
     wait.reward = -wait.elapsed;
-    wait.terminal = false;
-    wait.next_state = state;
-    wait.penalty = penalty;
-    wait.theta_star = theta_star;
-    replay_->Add(std::move(wait));
-    ++transitions_;
-    pending_it->second = {state, observation.now};
+    wait.terminal = !dispatched && observation.expired;
+    if (!wait.terminal) wait.next_state = state;
+    add(std::move(wait));
+  }
+  if (dispatched || observation.expired) {
+    if (pending_it != pending_.end()) pending_.erase(pending_it);
   } else {
-    pending_.emplace(observation.order,
-                     Pending{state, observation.now});
+    // Still pooled: the order's next wait starts from this state.
+    pending_.insert_or_assign(observation.order,
+                              Pending{state, observation.now});
+  }
+  if (dispatched) {
+    // The terminal dispatch reward p - t_d (Bellman update for a = 1).
+    Experience dispatch;
+    dispatch.state = state;
+    dispatch.action = 1;
+    dispatch.reward = penalty - observation.detour;
+    dispatch.terminal = true;
+    add(std::move(dispatch));
   }
 }
 

@@ -8,7 +8,6 @@
 
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
-#include "src/obs/histogram_registry.h"
 #include "src/obs/trace.h"
 
 namespace watter {
@@ -61,28 +60,13 @@ double FaultHorizon(const Scenario& scenario) {
 // constant yields a deterministic shed set.
 constexpr int64_t kPlanWorkUnits = 8;
 
-// Accumulates the enclosing scope's wall-clock into `*slot` when armed;
-// disarmed it reads no clock at all (the timeline contract: sampling off is
-// free, sampling on touches only diagnostic state).
-class PhaseTimer {
- public:
-  PhaseTimer(bool armed, double* slot) : slot_(armed ? slot : nullptr) {
-    if (slot_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~PhaseTimer() {
-    if (slot_ != nullptr) {
-      *slot_ += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-    }
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* slot_;
-  std::chrono::steady_clock::time_point start_;
-};
+// The timeline slot a round phase's span adds its seconds to: none unless
+// the sampler is armed, so an unsampled, untraced phase reads no clock (the
+// timeline contract: sampling off is free, sampling on touches only
+// diagnostic state).
+double* PhaseSlot(bool sampling, double* slot) {
+  return sampling ? slot : nullptr;
+}
 
 }  // namespace
 
@@ -136,9 +120,8 @@ void WatterPlatform::Observe(const Order& order, Time now, int action,
   obs.action = action;
   obs.expired = expired;
   obs.detour = detour;
-  obs.demand_pickup = &demand_pickup_counts_;
-  obs.demand_dropoff = &demand_dropoff_counts_;
-  obs.supply = &supply_counts_;
+  obs.context = {&demand_pickup_counts_, &demand_dropoff_counts_,
+                 &supply_counts_};
   observer_(obs);
 }
 
@@ -269,8 +252,8 @@ void WatterPlatform::RunCheck(Time now) {
     // Maintenance phase. Edge expiry shards per graph entry inside the
     // pool. The three grid snapshots stay serial on purpose: each is
     // O(cells) of trivial work, far below the pool's wake/join cost.
-    WATTER_TRACE_SPAN("round.maintenance");
-    PhaseTimer timer(sampling_, &round_sample_.maintenance_s);
+    WATTER_TRACE_SPAN("round.maintenance",
+                      PhaseSlot(sampling_, &round_sample_.maintenance_s));
     pool_.ExpireEdges(now);
     demand_pickup_counts_ = pooled_pickups_;
     demand_dropoff_counts_ = pooled_dropoffs_;
@@ -292,8 +275,8 @@ void WatterPlatform::RunCheck(Time now) {
     // phase-A value, and metrics would then depend on the thread count.
     // Keeping the algorithm fixed costs ~7% serial time on dense workloads
     // and is what makes the determinism contract unconditional.
-    WATTER_TRACE_SPAN("round.refresh");
-    PhaseTimer timer(sampling_, &round_sample_.refresh_s);
+    WATTER_TRACE_SPAN("round.refresh",
+                      PhaseSlot(sampling_, &round_sample_.refresh_s));
     pool_.RefreshBestGroups(ids, now);
   }
 
@@ -333,8 +316,8 @@ void WatterPlatform::RunDecisionLoopSerial(
   // sees — that chained re-evaluation is this engine's semantics. The whole
   // loop lands in the timeline's commit_s: this engine has no
   // propose/resolve/sweep split to attribute separately.
-  WATTER_TRACE_SPAN("round.commit");
-  PhaseTimer timer(sampling_, &round_sample_.commit_s);
+  WATTER_TRACE_SPAN("round.commit",
+                    PhaseSlot(sampling_, &round_sample_.commit_s));
   // Shed orders (budget pre-pass) keep their arrival-order slot but skip
   // all decision work — they only see the wait/expiry path below. With the
   // budget off, propose_ids aliases ids and this stays a no-op.
@@ -489,8 +472,8 @@ void WatterPlatform::RunDecisionLoopBatched(
   // groups' members (which may include shed orders) all get thresholds.
   std::unordered_map<OrderId, double> thresholds;
   {
-    WATTER_TRACE_SPAN("round.thresholds");
-    PhaseTimer timer(sampling_, &round_sample_.propose_s);
+    WATTER_TRACE_SPAN("round.thresholds",
+                      PhaseSlot(sampling_, &round_sample_.propose_s));
     thresholds = PrecomputeThresholds(propose_ids, now, context);
   }
 
@@ -499,8 +482,8 @@ void WatterPlatform::RunDecisionLoopBatched(
   // see thread_pool.h).
   std::vector<DispatchOffer> offers;
   {
-    WATTER_TRACE_SPAN("round.propose");
-    PhaseTimer timer(sampling_, &round_sample_.propose_s);
+    WATTER_TRACE_SPAN("round.propose",
+                      PhaseSlot(sampling_, &round_sample_.propose_s));
     executor_.ParallelMap(propose_ids.size(), 4, &offers, [&](size_t i) {
       return ProposeOffer(propose_ids[i], now, thresholds);
     });
@@ -511,8 +494,8 @@ void WatterPlatform::RunDecisionLoopBatched(
   // offer set, never of the thread count.
   std::vector<OfferOutcome> outcomes;
   {
-    WATTER_TRACE_SPAN("round.resolve");
-    PhaseTimer timer(sampling_, &round_sample_.resolve_s);
+    WATTER_TRACE_SPAN("round.resolve",
+                      PhaseSlot(sampling_, &round_sample_.resolve_s));
     offers.erase(std::remove_if(offers.begin(), offers.end(),
                                 [](const DispatchOffer& offer) {
                                   return offer.worker == kInvalidWorker;
@@ -529,8 +512,8 @@ void WatterPlatform::RunDecisionLoopBatched(
 
   // Commit the winners serially in the sorted order.
   {
-    WATTER_TRACE_SPAN("round.commit");
-    PhaseTimer timer(sampling_, &round_sample_.commit_s);
+    WATTER_TRACE_SPAN("round.commit",
+                      PhaseSlot(sampling_, &round_sample_.commit_s));
     for (size_t i = 0; i < offers.size(); ++i) {
       switch (outcomes[i]) {
         case OfferOutcome::kCommitted:
@@ -553,8 +536,8 @@ void WatterPlatform::RunDecisionLoopBatched(
   // Serial post-sweep in ascending id order over the orders that did not
   // dispatch: expiry (hazard cancellation, then rejection once no feasible
   // service remains) and wait observations for everyone else.
-  WATTER_TRACE_SPAN("round.sweep");
-  PhaseTimer sweep_timer(sampling_, &round_sample_.sweep_s);
+  WATTER_TRACE_SPAN("round.sweep",
+                    PhaseSlot(sampling_, &round_sample_.sweep_s));
   for (OrderId id : ids) {
     if (!pool_.Contains(id)) continue;  // Dispatched this round.
     const Order order_copy = *pool_.GetOrder(id);
@@ -745,31 +728,18 @@ void WatterPlatform::FinishRoundSample(Time now, double total_seconds) {
     sample.counters.push_back(value - counter_base_[column]);
     counter_base_[column++] = value;
   });
-
-  // Phase-duration histograms ride on the same sampling pass (the registry
-  // is armed whenever a trace or timeline was requested).
-  obs::RecordLatency("round.total_s", sample.total_s, /*hi_seconds=*/60.0);
-  obs::RecordLatency("round.maintenance_s", sample.maintenance_s, 60.0);
-  obs::RecordLatency("round.refresh_s", sample.refresh_s, 60.0);
-  obs::RecordLatency("round.propose_s", sample.propose_s, 60.0);
-  obs::RecordLatency("round.resolve_s", sample.resolve_s, 60.0);
-  obs::RecordLatency("round.commit_s", sample.commit_s, 60.0);
-  obs::RecordLatency("round.sweep_s", sample.sweep_s, 60.0);
   timeline_->Record(std::move(sample));
 }
 
 MetricsReport WatterPlatform::Run() {
-  // Arm the process-global observability sinks before the first round.
-  // Both stay enabled for the rest of the process (they accumulate across
-  // runs by design; see docs/OBSERVABILITY.md "Lifecycle") — the platform
-  // merely exports the current state at the end of this run.
+  // Arm the process-global trace recorder before the first round. It stays
+  // enabled for the rest of the process (it accumulates across runs by
+  // design; see docs/OBSERVABILITY.md "Lifecycle") — the platform merely
+  // exports the current state at the end of this run.
   const std::string& trace_path = options_.trace_path;
   if (!trace_path.empty()) {
     obs::TraceRecorder::Global().SetCurrentThreadName("main");
     obs::TraceRecorder::Global().Enable();
-  }
-  if (!trace_path.empty() || sampling_) {
-    obs::HistogramRegistry::Global().Enable();
   }
   Stopwatch algorithm_time;
   {

@@ -118,10 +118,9 @@ struct DecisionObservation {
   int action = 0;        ///< 1 = dispatch, 0 = wait.
   bool expired = false;  ///< Order left the platform unserved.
   double detour = 0.0;   ///< Realized detour (valid when dispatched).
-  /// Cell-count snapshots (valid during the callback only).
-  const std::vector<int>* demand_pickup = nullptr;
-  const std::vector<int>* demand_dropoff = nullptr;
-  const std::vector<int>* supply = nullptr;
+  /// The round's cell counts, as the threshold provider sees them (the
+  /// vectors are valid during the callback only).
+  PoolContext context;
 };
 
 /// Drives one full simulation run.
@@ -302,7 +301,7 @@ class WatterPlatform {
   // Observability (all inert unless options_ names a trace or timeline
   // path; see docs/OBSERVABILITY.md). The sampler is allocated up front so
   // `sampling_` is one bool test on the round path; `round_sample_` is the
-  // in-progress sample the decision loops stamp phase durations into, and
+  // in-progress sample the round's phase spans add their seconds to, and
   // `counter_base_` holds the previous round's cumulative counters
   // (metrics.h, VisitCounters) so each sample carries per-round deltas.
   bool sampling_ = false;

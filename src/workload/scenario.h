@@ -38,7 +38,7 @@ struct WorkloadOptions {
   // The three run knobs below stay here only because
   // benchmark/watter_bench.cc sets them; they leave with ROADMAP.md item
   // C's benchmark-only change. Every other run knob is in SimOptions.
-  /// Batch backend for CH oracles (ignored by kMatrix/kDijkstra). Bucket and
+  /// Batch backend for CH oracles (ignored by kMatrix). Bucket and
   /// per-query backends return bitwise-identical costs, so this only moves
   /// runtime, never metrics.
   GeoBackend geo = GeoBackend::kBucket;

@@ -1,9 +1,9 @@
 // Observability unit tests: TraceRecorder span recording (nesting,
 // thread-buffer merge, hot-span floor, the off-is-a-no-op contract, Chrome
-// trace export), the TimelineSampler fold rules, and the latency
-// HistogramRegistry. The cross-cutting guarantee — tracing never changes a
-// metric bit — is covered by sim_parallel_determinism_test's
-// TraceDeterminism axis; this file covers the recorder itself.
+// trace export), ScopedSpan's seconds slot, and the TimelineSampler fold
+// rules. The cross-cutting guarantee — tracing never changes a metric bit —
+// is covered by sim_parallel_determinism_test's TraceDeterminism axis; this
+// file covers the recorder itself.
 //
 // The recorder is process-global and accumulates, so every test starts with
 // Clear() and ends disarmed; events from one test cannot leak into the
@@ -11,12 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/obs/histogram_registry.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace.h"
 
@@ -81,6 +82,42 @@ TEST_F(TraceRecorderTest, HotSpanFloorDropsAndCounts) {
   auto events = TraceRecorder::Global().Snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "kept");
+}
+
+// set_hot_min_us is the floor's one home: arming the recorder leaves it as
+// set, whatever the environment says.
+TEST_F(TraceRecorderTest, EnableKeepsTheFloorSetInCode) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Disable();
+  ASSERT_EQ(setenv("WATTER_TRACE_HOT_MIN_US", "1000", /*overwrite=*/1), 0);
+  recorder.set_hot_min_us(0.0);
+  recorder.Enable();
+  unsetenv("WATTER_TRACE_HOT_MIN_US");
+  EXPECT_EQ(recorder.hot_min_us(), 0.0);
+}
+
+// A span with a seconds slot adds its interval to the slot whether or not
+// tracing is armed, and emits a span only when it is.
+TEST_F(TraceRecorderTest, SpanSecondsReachTheSlotArmedOrNot) {
+  double seconds = 0.0;
+  {
+    WATTER_TRACE_SPAN("timed", &seconds);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const double armed = seconds;
+  EXPECT_GE(armed, 0.002);
+  auto events = TraceRecorder::Global().Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "timed");
+  EXPECT_NEAR(events[0].dur_us * 1e-6, armed, 1e-9);
+
+  TraceRecorder::Global().Disable();
+  {
+    WATTER_TRACE_SPAN("untraced", &seconds);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(seconds - armed, 0.002);  // Added to, not overwritten.
+  EXPECT_EQ(TraceRecorder::Global().Snapshot().size(), 1u);
 }
 
 TEST_F(TraceRecorderTest, MergesPerThreadBuffersWithNames) {
@@ -211,27 +248,6 @@ TEST(TimelineSamplerTest, WritesJsonAndCsv) {
   EXPECT_EQ(csv.compare(0, 6, "round,"), 0);
   EXPECT_NE(csv.find("pool_size"), std::string::npos);
   EXPECT_NE(csv.find(",offers,"), std::string::npos);
-}
-
-TEST(HistogramRegistryTest, DisabledRecordsNothingEnabledAggregates) {
-  HistogramRegistry& registry = HistogramRegistry::Global();
-  registry.Clear();
-  registry.Disable();
-  RecordLatency("test.latency_s", 0.5);
-  EXPECT_TRUE(registry.Snapshots().empty());
-
-  registry.Enable();
-  RecordLatency("test.latency_s", 0.25);
-  RecordLatency("test.latency_s", 0.75);
-  auto snapshots = registry.Snapshots();
-  registry.Disable();
-  registry.Clear();
-  ASSERT_EQ(snapshots.size(), 1u);
-  EXPECT_EQ(snapshots[0].name, "test.latency_s");
-  EXPECT_EQ(snapshots[0].count, 2);
-  EXPECT_DOUBLE_EQ(snapshots[0].mean, 0.5);
-  EXPECT_DOUBLE_EQ(snapshots[0].min, 0.25);
-  EXPECT_DOUBLE_EQ(snapshots[0].max, 0.75);
 }
 
 }  // namespace

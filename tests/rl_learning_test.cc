@@ -38,7 +38,7 @@ TEST_F(FeaturizerTest, OneHotsAndTimeScalars) {
   order.dropoff = testutil::kF;
   order.release = 43200;  // Noon.
   std::vector<int> counts(16, 0);
-  auto env = featurizer_.MakeSnapshot(counts, counts, counts);
+  auto env = featurizer_.MakeSnapshot({&counts, &counts, &counts});
   CompactState state = featurizer_.MakeState(order, 43230, env);
   EXPECT_NEAR(state.release_slot, 0.5, 1e-9);
   EXPECT_GT(state.waited_slots, 0.0);
@@ -60,7 +60,7 @@ TEST_F(FeaturizerTest, SnapshotNormalizesDistributions) {
   demand[3] = 6;
   demand[10] = 2;
   std::vector<int> zeros(16, 0);
-  auto env = featurizer_.MakeSnapshot(demand, zeros, zeros);
+  auto env = featurizer_.MakeSnapshot({&demand, &zeros, &zeros});
   EXPECT_FLOAT_EQ(env->demand_pickup_total, 8.0f);
   EXPECT_FLOAT_EQ(env->distributions[3], 0.75f);
   EXPECT_FLOAT_EQ(env->distributions[10], 0.25f);
@@ -73,7 +73,7 @@ TEST_F(FeaturizerTest, WaitedSlotsSaturate) {
   order.pickup = testutil::kA;
   order.dropoff = testutil::kC;
   order.release = 0;
-  auto env = featurizer_.MakeSnapshot({}, {}, {});
+  auto env = featurizer_.MakeSnapshot({});
   CompactState early = featurizer_.MakeState(order, 10, env);
   CompactState late = featurizer_.MakeState(order, 1e7, env);
   EXPECT_LT(early.waited_slots, 0.05);
@@ -97,8 +97,8 @@ TEST_F(FeaturizerTest, EnvOffsetSplitsOrderFeaturesFromRoundFeatures) {
   quiet[2] = 3;
   std::vector<int> busy(16, 1);
   busy[7] = 9;
-  auto env_a = featurizer_.MakeSnapshot(quiet, busy, quiet);
-  auto env_b = featurizer_.MakeSnapshot(busy, quiet, busy);
+  auto env_a = featurizer_.MakeSnapshot({&quiet, &busy, &quiet});
+  auto env_b = featurizer_.MakeSnapshot({&busy, &quiet, &busy});
   auto features = [&](const Order& order, Time now,
                       std::shared_ptr<const EnvSnapshot> env) {
     std::vector<float> out;
@@ -169,7 +169,7 @@ TEST(ValueLearnerTest, LearnsTerminalValues) {
   order.pickup = testutil::kA;
   order.dropoff = testutil::kF;
   order.release = 1000;
-  auto env = featurizer.MakeSnapshot({}, {}, {});
+  auto env = featurizer.MakeSnapshot({});
   CompactState state = featurizer.MakeState(order, 1010, env);
   for (int i = 0; i < 64; ++i) {
     Experience e;
@@ -198,7 +198,7 @@ TEST(ValueLearnerTest, TargetLossAnchorsValue) {
   Order order;
   order.pickup = testutil::kD;
   order.dropoff = testutil::kC;
-  auto env = featurizer.MakeSnapshot({}, {}, {});
+  auto env = featurizer.MakeSnapshot({});
   CompactState state = featurizer.MakeState(order, 5, env);
   for (int i = 0; i < 64; ++i) {
     Experience e;
@@ -231,7 +231,7 @@ TEST(ValueLearnerTest, WaitTransitionsBootstrapFromTarget) {
   order.pickup = testutil::kA;
   order.dropoff = testutil::kC;
   order.release = 0;
-  auto env = featurizer.MakeSnapshot({}, {}, {});
+  auto env = featurizer.MakeSnapshot({});
   CompactState s0 = featurizer.MakeState(order, 10, env);
   CompactState s1 = featurizer.MakeState(order, 200, env);  // Waited longer.
   for (int i = 0; i < 64; ++i) {
@@ -319,7 +319,7 @@ TEST(ExpectProviderTest, RoundCacheMatchesFromScratch) {
     PoolContext context{&demand_pickup, &demand_dropoff, &supply};
     // An order without penalty answers before any snapshot is taken.
     EXPECT_EQ(provider.ThresholdFor(expired, now, context), 0.0);
-    auto env = featurizer.MakeSnapshot(demand_pickup, demand_dropoff, supply);
+    auto env = featurizer.MakeSnapshot(context);
     for (size_t call = 0; call < 2 * orders.size(); ++call) {
       const Order& order = orders[(call * 3 + round) % orders.size()];
       featurizer.Write(featurizer.MakeState(order, now, env), &features);
@@ -398,9 +398,7 @@ TEST(TrainerTest, CollectorBuildsTransitionsFromObservations) {
     obs.action = action;
     obs.expired = expired;
     obs.detour = detour;
-    obs.demand_pickup = &counts;
-    obs.demand_dropoff = &counts;
-    obs.supply = &counts;
+    obs.context = {&counts, &counts, &counts};
     collector.OnObservation(obs);
   };
 

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/core/metrics.h"
-#include "src/obs/histogram_registry.h"
 #include "src/obs/trace.h"
 #include "src/rl/trainer.h"
 #include "src/sim/platform.h"
@@ -101,13 +100,12 @@ RunOutcome RunWithThreads(uint64_t seed, int num_threads,
     outcome.counter_names = platform.timeline()->counter_names();
     outcome.rounds = platform.timeline()->samples();
     outcome.totals = platform.timeline()->Totals();
-    // A traced Run() leaves the process-global sinks armed (they accumulate
-    // by design); disarm and drop them so later runs in this binary really
-    // are trace-off, and so buffers do not grow across the matrix.
+    // A traced Run() leaves the process-global recorder armed (it
+    // accumulates by design); disarm and clear it so later runs in this
+    // binary really are trace-off, and so buffers do not grow across the
+    // matrix.
     obs::TraceRecorder::Global().Disable();
     obs::TraceRecorder::Global().Clear();
-    obs::HistogramRegistry::Global().Disable();
-    obs::HistogramRegistry::Global().Clear();
     std::remove(trace_path.c_str());
     std::remove(timeline_path.c_str());
   }
@@ -248,7 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
                                      DispatchMode::kBatched)),
     CaseName);
 
-// Trace axis: arming the observability taps (trace + timeline + histograms)
+// Trace axis: arming the observability taps (trace + timeline)
 // must be invisible in the results — the "on never perturbs" half of the
 // overhead contract (src/obs/trace.h, docs/OBSERVABILITY.md). The untraced
 // 1-thread run is the reference; traced runs must match it bit for bit

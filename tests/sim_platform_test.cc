@@ -146,8 +146,8 @@ TEST(PlatformTest, ObserverSeesEveryOrderTerminally) {
     } else {
       ++waits;
     }
-    ASSERT_NE(obs.demand_pickup, nullptr);
-    ASSERT_NE(obs.supply, nullptr);
+    ASSERT_NE(obs.context.demand_pickup, nullptr);
+    ASSERT_NE(obs.context.supply, nullptr);
   });
   MetricsReport report = platform.Run();
   EXPECT_EQ(static_cast<int64_t>(dispatched.size()), report.served);

@@ -6,7 +6,8 @@ fig benches) and prints a per-span rollup: event count, total and mean
 duration, and the share of the trace's wall span. With `--timeline` it also
 rolls up a per-round timeline JSON (`--timeline` output of the same tools):
 round count, peak pool size, the per-phase time breakdown with the top phase
-called out, and a robustness line whenever a fault or the work budget fired.
+called out, the p50 and p99 of each phase and of the whole round over the
+rounds, and a robustness line whenever a fault or the work budget fired.
 The timeline's counter columns carry the report's JSON names
 (src/core/metrics.h), one per-round delta column per report counter.
 
@@ -15,7 +16,8 @@ the trace is structurally a loadable Chrome trace (traceEvents array, "M"
 thread-name metadata, well-formed "X" complete events with non-negative
 timestamps/durations) containing at least one platform round span, and —
 when `--timeline` is given — the timeline has a non-empty `rounds` array
-with consistent totals. See docs/OBSERVABILITY.md.
+whose every round carries the seven phase-time columns as non-negative
+numbers, with consistent totals. See docs/OBSERVABILITY.md.
 
 Usage:
   tools/trace_summary.py TRACE.json [--timeline TL.json] [--top N] [--check]
@@ -112,6 +114,8 @@ def summarize_trace(spans, thread_names, dropped, top):
 
 PHASES = ("maintenance_s", "refresh_s", "propose_s", "resolve_s",
           "commit_s", "sweep_s")
+# Every round's wall-clock columns: the six phases and the whole round.
+TIMED_COLUMNS = PHASES + ("total_s",)
 
 # Robustness columns (docs/ROBUSTNESS.md): per-round deltas of the fault,
 # recovery and overload-shedding counters, under the report's names. Each
@@ -130,9 +134,14 @@ def validate_timeline(timeline):
     if not isinstance(rounds, list) or not rounds:
         fail("timeline has no rounds")
     for sample in rounds:
-        for key in ("round", "pool_size", "total_s") + FAULT_COLUMNS:
+        for key in ("round", "pool_size") + TIMED_COLUMNS + FAULT_COLUMNS:
             if key not in sample:
                 fail(f"round sample missing {key!r}")
+        for key in TIMED_COLUMNS:
+            value = sample[key]
+            if (isinstance(value, bool) or
+                    not isinstance(value, (int, float)) or not value >= 0):
+                fail(f"round sample has a bad time {key!r}: {value!r}")
         for key in FAULT_COLUMNS:
             if not isinstance(sample[key], int) or sample[key] < 0:
                 fail(f"round sample has non-count {key!r}: {sample[key]!r}")
@@ -150,6 +159,16 @@ def validate_timeline(timeline):
     return rounds, totals
 
 
+def quantile(values, q):
+    """The q-quantile of `values`, interpolating between closest ranks."""
+    ordered = sorted(values)
+    position = q * (len(ordered) - 1)
+    lower = int(position)
+    upper = min(lower + 1, len(ordered) - 1)
+    return ordered[lower] + (ordered[upper] - ordered[lower]) * (
+        position - lower)
+
+
 def summarize_timeline(rounds, totals):
     peak_pool = max(r["pool_size"] for r in rounds)
     print(f"timeline: {len(rounds)} rounds, peak pool {peak_pool}, "
@@ -157,9 +176,16 @@ def summarize_timeline(rounds, totals):
           f"{totals.get('total_s', 0.0):.3f}s in rounds")
     phase_totals = [(p, totals.get(p, 0.0)) for p in PHASES]
     round_total = totals.get("total_s", 0.0)
-    for phase, seconds in sorted(phase_totals, key=lambda kv: -kv[1]):
+    # Per-round distributions in milliseconds, from the rounds themselves.
+    print(f"  {'phase':<16} {'total':>10} {'share':>7} "
+          f"{'p50 ms':>9} {'p99 ms':>9}")
+    rows = sorted(phase_totals, key=lambda kv: -kv[1])
+    for column, seconds in rows + [("total_s", round_total)]:
         share = 100.0 * seconds / round_total if round_total > 0 else 0.0
-        print(f"  {phase:<16} {seconds:>9.3f}s {share:>6.1f}%")
+        per_round = [r[column] for r in rounds]
+        print(f"  {column:<16} {seconds:>9.3f}s {share:>6.1f}% "
+              f"{1e3 * quantile(per_round, 0.5):>9.3f} "
+              f"{1e3 * quantile(per_round, 0.99):>9.3f}")
     top_phase, top_seconds = max(phase_totals, key=lambda kv: kv[1])
     print(f"top phase: {top_phase} ({top_seconds:.3f}s)")
     # Robustness rollup: silent on a faultless, unbudgeted run.
